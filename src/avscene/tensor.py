@@ -383,13 +383,17 @@ def conv2d(
     def bwd(g):
         g2 = g.reshape(n, o, ho * wo)
         if w.requires_grad:
-            dw = np.einsum("nol,nkl->ok", g2, cols)
+            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(w, dw.reshape(wn.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
+            if kh == 1 and kw == 1 and stride == 1:
+                # Every padded pixel is exactly one column: no overlap to add.
+                dxp = dcols.reshape(xp.shape)
+            else:
+                dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
             _accumulate(x, dxp)
@@ -414,7 +418,7 @@ def conv1x1(x: Tensor, w: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, np.matmul(w.data.T, g))
         if w.requires_grad:
-            _accumulate(w, np.einsum("nol,ncl->oc", g, x.data))
+            _accumulate(w, np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0))
 
     return _record(out, (x, w), bwd)
 
@@ -496,55 +500,51 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=256)
-def _linear_coords(n_in: int, n_out: int):
+def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """[n_out, n_in] linear interpolation weights along one axis."""
     # Half-pixel-center mapping, clamped at the borders.
     pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     pos = np.clip(pos, 0.0, n_in - 1.0)
     lo = np.minimum(np.floor(pos).astype(np.int64), n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, pos - lo
+    frac = pos - lo
+    rows = np.arange(n_out)
+    r = np.zeros((n_out, n_in))
+    r[rows, lo] = 1.0 - frac
+    r[rows, hi] += frac  # hi == lo only at the clamped border, where frac == 0
+    r.flags.writeable = False  # the cache hands this array to every caller
+    return r
 
 
 def bilinear_resize_array(a: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """Bilinear resize of the trailing two axes of a float array."""
-    h, w = a.shape[-2], a.shape[-1]
-    y0, y1, fy = _linear_coords(h, h2)
-    x0, x1, fx = _linear_coords(w, w2)
-    wy = fy[:, None]
-    wx = fx[None, :]
-    tl = a[..., y0[:, None], x0[None, :]]
-    tr = a[..., y0[:, None], x1[None, :]]
-    bl = a[..., y1[:, None], x0[None, :]]
-    br = a[..., y1[:, None], x1[None, :]]
-    return (
-        (1 - wy) * (1 - wx) * tl
-        + (1 - wy) * wx * tr
-        + wy * (1 - wx) * bl
-        + wy * wx * br
-    )
+    """Bilinear resize of the trailing two axes of a float array.
+
+    Bilinear resizing is a fixed linear map: each trailing [H,W] plane X
+    becomes R_y · X · R_xᵀ, where R_y[h2,H] and R_x[w2,W] interpolate one
+    axis each with half-pixel centers, clamped at the borders.
+    """
+    ry = _resize_matrix(a.shape[-2], h2)
+    rx = _resize_matrix(a.shape[-1], w2)
+    return ry @ a @ rx.T
 
 
 def bilinear_upsample(x: Tensor, h2: int, w2: int) -> Tensor:
-    """Resize x[N,C,H,W] to [N,C,h2,w2] with bilinear interpolation."""
+    """Resize x[N,C,H,W] to [N,C,h2,w2] with bilinear interpolation.
+
+    Each plane X becomes R_y · X · R_xᵀ, as in ``bilinear_resize_array``
+    (half-pixel centers, clamped at the borders); the output gradient G
+    flows back as R_yᵀ · G · R_x.
+    """
     if x.data.ndim != 4:
         raise ConfigurationError(f"bilinear_upsample: need rank 4, got {x.data.ndim}")
     if h2 < 1 or w2 < 1:
         raise ConfigurationError(f"bilinear_upsample: bad target {h2}x{w2}")
-    h, w = x.data.shape[2], x.data.shape[3]
-    y0, y1, fy = _linear_coords(h, h2)
-    x0, x1, fx = _linear_coords(w, w2)
-    wy = fy[:, None]
-    wx = fx[None, :]
-    out = Tensor(bilinear_resize_array(x.data, h2, w2))
+    ry = _resize_matrix(x.data.shape[2], h2)
+    rx = _resize_matrix(x.data.shape[3], w2)
+    out = Tensor(ry @ x.data @ rx.T)
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        sl = (slice(None), slice(None))
-        np.add.at(dx, sl + (y0[:, None], x0[None, :]), g * (1 - wy) * (1 - wx))
-        np.add.at(dx, sl + (y0[:, None], x1[None, :]), g * (1 - wy) * wx)
-        np.add.at(dx, sl + (y1[:, None], x0[None, :]), g * wy * (1 - wx))
-        np.add.at(dx, sl + (y1[:, None], x1[None, :]), g * wy * wx)
-        _accumulate(x, dx)
+        _accumulate(x, ry.T @ g @ rx)
 
     return _record(out, (x,), bwd)
 
