@@ -7,6 +7,7 @@ tab-separated manifest files that list dataset items.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,10 +177,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular filters on the HTK mel scale, each row normalized to sum 1.
 
-    Returns [n_mels, n_fft//2 + 1] weights over the non-negative FFT bins.
+    Returns [n_mels, n_fft//2 + 1] weights over the non-negative FFT bins,
+    as a cached read-only array.
     """
     if n_mels < 1:
         raise ConfigurationError(f"n_mels must be positive, got {n_mels}")
@@ -197,7 +200,9 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         raise ConfigurationError(
             f"mel filter narrower than one FFT bin (n_mels={n_mels}, n_fft={n_fft})"
         )
-    return bank / sums[:, None]
+    bank /= sums[:, None]
+    bank.flags.writeable = False  # the cache hands this array to every caller
+    return bank
 
 
 def _hann(window: int) -> np.ndarray:
@@ -226,17 +231,18 @@ def extract_logmel(
         raise DataError(
             f"clip of {samples.size} samples is too short to frame with reflection"
         )
+    # Frame t is padded[t*hop : t*hop + n_fft]. The right pad of
+    # n_fft - n_fft//2 leaves exactly 1 + num_samples // hop window starts,
+    # also for odd n_fft.
     pad = n_fft // 2
-    padded = np.pad(samples, pad, mode="reflect")
-    n_frames = 1 + samples.size // hop
+    padded = np.pad(samples, (pad, n_fft - pad), mode="reflect")
     taper = _hann(window)
     if window < n_fft:
         centered = np.zeros(n_fft)
         start = (n_fft - window) // 2
         centered[start : start + window] = taper
         taper = centered
-    starts = np.arange(n_frames) * hop
-    frames = padded[starts[:, None] + np.arange(n_fft)[None, :]] * taper
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop] * taper
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     bank = mel_filterbank(n_mels, n_fft, clip.sample_rate)
     mel_power = power @ bank.T

@@ -494,12 +494,14 @@ def train(
             batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
             x = Tensor(np.stack([e.x for e in batch]))
             labels = np.array([e.label for e in batch])
+            # Zeroed before the forward: the last step's gradients would
+            # otherwise sit in memory next to the new tape.
+            model.registry.zero_grad()
             logits = model.forward(x, disable_graph=disable_graph)
             loss = softmax_cross_entropy(logits, labels)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"loss diverged at epoch {epoch}")
-            model.registry.zero_grad()
             loss.backward()
             optimizer.step(lr)
             loss_sum += value * len(batch)

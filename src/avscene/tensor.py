@@ -6,8 +6,12 @@ parameter registry, a finite-difference gradient checker, and the AGT1
 tensor file format used for feature exchange and checkpoints.
 
 Gradients are computed by recording a tape of backward closures during the
-forward pass and replaying it in reverse topological order. All math is
-64-bit; only the AGT1 file format stores 32-bit floats. There is no
+forward pass and replaying it in reverse topological order. The replay
+consumes the tape: each interior node's gradient, closure and parent links
+are released as soon as its closure has run, so only leaves (parameters and
+inputs created with ``requires_grad``) keep ``grad``, and a second
+``backward()`` through a consumed node raises ``ConfigurationError``. All
+math is 64-bit; only the AGT1 file format stores 32-bit floats. There is no
 broadcasting beyond bias addition: operands must match shapes exactly.
 """
 
@@ -71,7 +75,15 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode pass; requires a single-element tensor."""
+        """Reverse-mode pass from a single-element tensor; consumes the graph.
+
+        Leaves (parameters and inputs created with ``requires_grad``)
+        accumulate into ``grad``. Every interior node drops its ``grad``, its
+        parent links and its closure once its closure has run, so activations
+        and saved buffers are freed as the walk passes them. A second
+        ``backward()`` that reaches a consumed node raises
+        ``ConfigurationError`` before any gradient changes.
+        """
         if self.data.size != 1:
             raise ConfigurationError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
@@ -86,18 +98,33 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # raises before any gradient changes
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _consumed
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g) -> None:
+    """Stands in for the closure of a node that ``backward()`` has walked."""
+    raise ConfigurationError(
+        "graph already consumed by backward(); run the forward again"
+    )
 
 
 def _accumulate(t: Tensor, g) -> None:
@@ -391,9 +418,9 @@ def conv2d(
             dcols = np.matmul(w2.T, g2)
             if kh == 1 and kw == 1 and stride == 1:
                 # Every padded pixel is exactly one column: no overlap to add.
-                dxp = dcols.reshape(xp.shape)
+                dxp = dcols.reshape(n, c, hp, wp)
             else:
-                dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
+                dxp = _col2im(dcols, (n, c, hp, wp), kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
             _accumulate(x, dxp)

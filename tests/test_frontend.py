@@ -12,6 +12,22 @@ def make_clip(samples, rate=16000):
     return fe.AudioClip(np.asarray(samples, dtype=np.float64), rate)
 
 
+def index_framed_logmel(clip, window=1024, hop=400, n_mels=64, n_fft=1024):
+    """extract_logmel with frames gathered by a fancy index (the reference)."""
+    samples = clip.samples
+    pad = n_fft // 2
+    padded = np.pad(samples, pad, mode="reflect")
+    n_frames = 1 + samples.size // hop
+    taper = np.zeros(n_fft)
+    start = (n_fft - window) // 2
+    taper[start : start + window] = fe._hann(window)
+    starts = np.arange(n_frames) * hop
+    frames = padded[starts[:, None] + np.arange(n_fft)[None, :]] * taper
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    mel_power = power @ fe.mel_filterbank(n_mels, n_fft, clip.sample_rate).T
+    return np.log(mel_power + fe.LOG_FLOOR)[None, :, :]
+
+
 class TestWav:
     def test_silence_roundtrip(self, tmp_path):
         path = tmp_path / "z.wav"
@@ -175,6 +191,45 @@ class TestLogMel:
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             fe.extract_logmel(make_clip([0.5]))
+
+    @pytest.mark.parametrize("hop", [1, 7, 400, 1024])
+    @pytest.mark.parametrize("n", [2, 399, 400, 401, 1023, 1024, 1025])
+    def test_strided_framing_matches_index_reference(self, n, hop):
+        clip = make_clip(np.random.default_rng(n + hop).uniform(-0.5, 0.5, n))
+        got = fe.extract_logmel(clip, hop=hop).values.data
+        assert got.shape == (1, 1 + n // hop, 64)
+        assert np.array_equal(got, index_framed_logmel(clip, hop=hop))
+
+    @pytest.mark.parametrize(
+        "n, hop, window, n_fft",
+        [
+            (160000, 400, 1024, 1024),
+            (160000, 1024, 1024, 1024),
+            (1025, 7, 400, 1024),
+            (401, 1, 300, 512),
+            (8001, 400, 640, 1024),
+            (801, 400, 1023, 1023),
+        ],
+    )
+    def test_strided_framing_long_and_windowed(self, n, hop, window, n_fft):
+        clip = make_clip(np.random.default_rng(n).uniform(-0.5, 0.5, n))
+        got = fe.extract_logmel(clip, window=window, hop=hop, n_fft=n_fft)
+        want = index_framed_logmel(clip, window=window, hop=hop, n_fft=n_fft)
+        assert np.array_equal(got.values.data, want)
+
+    def test_odd_n_fft_keeps_frame_count(self):
+        # With hop dividing the length, the last frame starts on the last
+        # sample; the index reference runs off the symmetric padding here.
+        clip = make_clip(np.random.default_rng(3).uniform(-0.5, 0.5, 800))
+        spec = fe.extract_logmel(clip, window=1023, hop=400, n_fft=1023)
+        assert spec.num_frames == 3
+        assert np.all(np.isfinite(spec.values.data))
+
+    def test_filterbank_is_cached_read_only(self):
+        bank = fe.mel_filterbank(64, 1024, 16000)
+        assert bank is fe.mel_filterbank(64, 1024, 16000)
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
 
 
 class TestImagesAndManifest:

@@ -1,6 +1,8 @@
 """Tensor core: forward oracles, gradients, serialization."""
 
 import math
+import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -486,6 +488,72 @@ class TestAutodiff:
         with T.no_grad():
             y = T.relu(x)
         assert y._backward is None and y._parents == ()
+
+
+def affine_chain(x, length=16):
+    """x -> scalar_affine applied `length` times; returns every node."""
+    nodes = [x]
+    for i in range(length):
+        nodes.append(T.scalar_affine(nodes[-1], 1.0 + 0.01 * i, 0.5))
+    return nodes
+
+
+class TestTapeRelease:
+    def test_interior_arrays_freed_after_backward(self):
+        x = T.Tensor(np.ones(64), requires_grad=True)
+        nodes = affine_chain(x)
+        interior = weakref.ref(nodes[8].data)
+        out = nodes[-1]
+        del nodes
+        loss = T.total_sum(out)
+        assert interior() is not None
+        loss.backward()
+        assert interior() is None
+        assert loss.grad is None and out.grad is None
+        want = np.prod(1.0 + 0.01 * np.arange(16))
+        assert np.allclose(x.grad, want, rtol=1e-14, atol=0.0)
+
+    def test_backward_peak_stays_bounded(self):
+        mib = 1024 * 1024
+        x = T.Tensor(np.ones(mib // 8), requires_grad=True)
+        loss = T.total_sum(affine_chain(x)[-1])
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One live interior gradient, its scaled copy and x.grad: ~3 MiB.
+        # Keeping every interior gradient would take ~18 MiB.
+        assert peak <= 4 * mib, peak / mib
+
+    def test_second_backward_on_same_root_raises(self):
+        x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        loss = T.total_sum(T.relu(x))
+        loss.backward()
+        before = x.grad.copy()
+        with pytest.raises(ConfigurationError, match="already consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, before)
+        assert np.array_equal(before, [1.0, 0.0, 1.0])
+
+    def test_second_root_through_consumed_node_raises(self):
+        x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        w = T.Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
+        h = T.relu(x)
+        first = T.total_sum(h)
+        second = T.total_sum(T.mul(h, w))
+        first.backward()
+        before = x.grad.copy()
+        with pytest.raises(ConfigurationError, match="already consumed"):
+            second.backward()
+        assert np.array_equal(x.grad, before) and w.grad is None
+
+    def test_leaf_gradients_accumulate_across_graphs(self):
+        x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        T.total_sum(T.relu(x)).backward()
+        T.total_sum(T.relu(x)).backward()
+        assert np.array_equal(x.grad, [2.0, 0.0, 2.0])
 
 
 class TestAgt1Format:
