@@ -19,6 +19,7 @@ from .pnm import read_pnm
 from .tensor import Tensor, bilinear_resize_array
 
 LOG_FLOOR = 1e-10
+_STFT_BLOCK_BYTES = 1 << 18  # bytes of tapered frames per block in extract_logmel
 
 
 @dataclass
@@ -242,8 +243,18 @@ def extract_logmel(
         start = (n_fft - window) // 2
         centered[start : start + window] = taper
         taper = centered
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop] * taper
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    n_frames = windows.shape[0]
+    # Tapered frames and their spectra are made one block of rows at a time.
+    # Whole-clip arrays (3.3 MB each for a 10-s clip) pushed the heap's swing
+    # per call past the point where malloc hands the freed top back to the
+    # OS, so some processes faulted ~10 MB back in on every call and ran at
+    # two thirds of the speed of others.
+    power = np.empty((n_frames, n_fft // 2 + 1))
+    rows = max(1, _STFT_BLOCK_BYTES // (8 * n_fft))
+    for first in range(0, n_frames, rows):
+        spectrum = np.fft.rfft(windows[first : first + rows] * taper, axis=1)
+        power[first : first + rows] = np.abs(spectrum) ** 2
     bank = mel_filterbank(n_mels, n_fft, clip.sample_rate)
     mel_power = power @ bank.T
     values = np.log(mel_power + LOG_FLOOR)[None, :, :]
