@@ -9,8 +9,6 @@ salient and contextual node features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DataError
@@ -25,10 +23,6 @@ from .tensor import (
 )
 
 
-def _as_array(a) -> np.ndarray:
-    return a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-
-
 def _validate_adjacency(adj: np.ndarray) -> None:
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got {adj.shape}")
@@ -40,54 +34,22 @@ def _validate_adjacency(adj: np.ndarray) -> None:
         raise DataError("adjacency has a nonzero diagonal")
 
 
-@dataclass
-class PropagationMatrix:
-    """Symmetric-normalized operator with spectrum inside [-1, 1]."""
-
-    l_norm: Tensor
-
-    @property
-    def k(self) -> int:
-        return self.l_norm.data.shape[0]
-
-
-def laplacian(a) -> Tensor:
-    """Graph Laplacian D - A; rows sum to zero by construction."""
-    adj = _as_array(a)
-    _validate_adjacency(adj)
-    return Tensor(np.diag(adj.sum(axis=1)) - adj)
-
-
-def propagation_matrix(a) -> PropagationMatrix:
-    """(D+I)^{-1/2} (A+I) (D+I)^{-1/2} with D = diag of row sums of A."""
-    adj = _as_array(a)
+def propagation_matrix(adj: np.ndarray) -> np.ndarray:
+    """[K,K] (D+I)^{-1/2} (A+I) (D+I)^{-1/2} with D = diag of row sums of A."""
     _validate_adjacency(adj)
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
     a_hat = adj + np.eye(adj.shape[0])
-    l_norm = inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
-    return PropagationMatrix(l_norm=Tensor(l_norm))
+    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
-def gcn_layer(
-    x: Tensor,
-    prop: PropagationMatrix,
-    theta: Tensor,
-    activate: bool = True,
-) -> Tensor:
+def gcn_layer(x: Tensor, l_norm: np.ndarray, theta: Tensor) -> Tensor:
     """One propagation step: relu(L_norm @ X @ theta^T) per batch item.
 
-    x is [N,K,C_in], theta a [C_out,C_in] filter bank. ``activate=False``
-    returns the pre-activation (used by linearity tests).
+    x is [N,K,C_in], l_norm the [K,K] propagation matrix and theta a
+    [C_out,C_in] filter bank.
     """
-    if x.data.ndim != 3:
-        raise ConfigurationError(f"gcn_layer: node features must be rank 3, got {x.data.ndim}")
-    if x.data.shape[1] != prop.k:
-        raise ConfigurationError(
-            f"gcn_layer: {x.data.shape[1]} nodes vs {prop.k}x{prop.k} propagation matrix"
-        )
-    mixed = batched_matrix_apply(prop.l_norm.data, x)
-    projected = transpose_last2(conv1x1(transpose_last2(mixed), theta))
-    return relu(projected) if activate else projected
+    mixed = batched_matrix_apply(l_norm, x)
+    return relu(transpose_last2(conv1x1(transpose_last2(mixed), theta)))
 
 
 def graph_readout(y_salient: Tensor, y_contextual: Tensor) -> Tensor:

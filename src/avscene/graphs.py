@@ -2,13 +2,15 @@
 
 From the fused feature map we rank spatial positions by channel-summed
 intensity, pick the top-K positions (salient graph) and the middle-K
-positions of the ranking (contextual graph), group node ranks into 4-node
-subgraphs by an arithmetic rule, and weight edges by the Manhattan distance
-between node grid positions. Selection is plain indexing: gradients flow
-through the gathered node features only, never through the ranking.
+positions of the ranking (contextual graph), and weight edges by the
+Manhattan distance between node grid positions. Selection is plain indexing:
+gradients flow through the gathered node features only, never through the
+ranking.
 
-Node ranks are 0-based everywhere in code; the 1-based grouping rule is
-converted at the boundary where it is evaluated.
+The edge set is the constant ``edge_mask(k)``: 4-node groups
+{i, i+k/4, i+2k/4, i+3k/4} (stated 1-based) plus a chain linking the group
+centers, ranks 2k/4 ... 3k/4-1 (0-based). Only the node positions, and so
+the edge weights, vary per sample.
 """
 
 from __future__ import annotations
@@ -24,77 +26,13 @@ from .tensor import Tensor, gather_pixels
 
 
 @dataclass
-class IntensityMap:
-    """Channel-summed feature intensities, flattened to [N, H*W]."""
-
-    values: Tensor
-    h: int
-    w: int
-
-
-@dataclass
-class NodeSelection:
-    """Ascending, disjoint flat indices of the two node sets."""
-
-    salient_idx: np.ndarray
-    contextual_idx: np.ndarray
-
-
-@dataclass
-class SubgraphLayout:
-    """Partition of node ranks into 4-node groups plus one center per group."""
-
-    k: int
-    subgraphs: list
-    centers: list
-
-    def centers_one_based(self) -> list:
-        return [c + 1 for c in self.centers]
-
-
-@dataclass
 class SceneGraph:
     kind: str  # "salient" or "contextual"
-    node_features: Tensor  # [N, K, C]
-    flat_indices: np.ndarray
-    positions: list  # K pairs (x, y)
-    adjacency: Tensor  # [K, K], symmetric, zero diagonal
-    edges: set  # unordered rank pairs stored as (i, j) with i < j
+    node_features: Tensor  # [1, K, C]
+    flat_indices: np.ndarray  # [K], ascending row-major grid indices
+    adjacency: np.ndarray  # [K, K], symmetric, zero diagonal
     h: int
     w: int
-
-    @property
-    def k(self) -> int:
-        return len(self.positions)
-
-
-def intensity_map(f_ffr: Tensor) -> IntensityMap:
-    """Sum f_ffr[N,C,H,W] over channels and flatten the grid row-major."""
-    if f_ffr.data.ndim != 4:
-        raise ConfigurationError(f"intensity_map: need rank 4, got {f_ffr.data.ndim}")
-    n, _, h, w = f_ffr.data.shape
-    values = f_ffr.data.sum(axis=1).reshape(n, h * w)
-    return IntensityMap(values=Tensor(values), h=h, w=w)
-
-
-def select_nodes(m: IntensityMap, k: int) -> NodeSelection:
-    """Pick the top-k and middle-k positions of the descending intensity sort.
-
-    The middle window is the half-open rank range
-    [H*W//2 - k//2, H*W//2 + k//2). Ties sort by lower flat index. Both index
-    lists are returned ascending, restoring the original spatial order.
-    """
-    _validate_k(k, m.h * m.w)
-    if m.values.data.shape[0] != 1:
-        raise ConfigurationError(
-            f"select_nodes expects a single map, got batch {m.values.data.shape[0]}"
-        )
-    # Stable argsort of the negated values: descending, ties by lower index.
-    order = np.argsort(-m.values.data[0], kind="stable")
-    m_left = (m.h * m.w) // 2 - k // 2
-    salient = np.sort(order[:k])
-    contextual = np.sort(order[m_left : m_left + k])
-    return NodeSelection(salient_idx=salient, contextual_idx=contextual)
 
 
 def _validate_k(k: int, cells: int) -> None:
@@ -107,95 +45,57 @@ def _validate_k(k: int, cells: int) -> None:
         )
 
 
-def build_subgraphs(k: int) -> SubgraphLayout:
-    """Group ranks into 4-node subgraphs {i, i+k/4, i+2k/4, i+3k/4}.
+def select_nodes(values: np.ndarray, k: int):
+    """Pick the top-k and middle-k positions of the descending intensity sort.
 
-    Stated 1-based, stored 0-based; the center of group i is rank i + 2k/4.
+    values is the flat [H*W] intensity map. The middle window is the
+    half-open rank range [H*W//2 - k//2, H*W//2 + k//2). Ties sort by lower
+    flat index. Both index arrays are returned ascending, restoring the
+    original spatial order.
     """
-    if k < 4 or k % 4:
-        raise ConfigurationError(f"node count must be a positive multiple of 4, got {k}")
-    q = k // 4
-    subgraphs = [(i, i + q, i + 2 * q, i + 3 * q) for i in range(q)]
-    centers = [i + 2 * q for i in range(q)]
-    return SubgraphLayout(k=k, subgraphs=subgraphs, centers=centers)
+    _validate_k(k, values.size)
+    # Stable argsort of the negated values: descending, ties by lower index.
+    order = np.argsort(-values, kind="stable")
+    m_left = values.size // 2 - k // 2
+    return np.sort(order[:k]), np.sort(order[m_left : m_left + k])
 
 
 @functools.lru_cache(maxsize=64)
-def _edges_for_k(k: int) -> frozenset:
-    return frozenset(subgraph_edge_set(build_subgraphs(k)))
+def edge_mask(k: int) -> np.ndarray:
+    """Read-only bool [K,K]: same 4-node group, or neighbouring group centers."""
+    _validate_k(k, 3 * k)  # no map here: only the multiple-of-4 rule can fail
+    q = k // 4
+    r = np.arange(k)
+    mask = r[:, None] % q == r[None, :] % q
+    centers = np.arange(2 * q, 3 * q - 1)
+    mask[centers, centers + 1] = mask[centers + 1, centers] = True
+    np.fill_diagonal(mask, False)
+    mask.flags.writeable = False
+    return mask
 
 
-def node_positions(flat_indices, w: int) -> list:
-    """Row-major flat index -> (x, y) grid position."""
-    return [(int(i) % w, int(i) // w) for i in flat_indices]
-
-
-def subgraph_edge_set(layout: SubgraphLayout) -> set:
-    """All pairs within each 4-node group plus the chain of group centers."""
-    edges = set()
-    for group in layout.subgraphs:
-        for a in range(4):
-            for b in range(a + 1, 4):
-                i, j = group[a], group[b]
-                edges.add((min(i, j), max(i, j)))
-    for a, b in zip(layout.centers, layout.centers[1:]):
-        edges.add((min(a, b), max(a, b)))
-    return edges
-
-
-def _fill_adjacency(positions, edges) -> np.ndarray:
-    k = len(positions)
-    adjacency = np.zeros((k, k))
-    for i, j in edges:
-        (xi, yi), (xj, yj) = positions[i], positions[j]
-        adjacency[i, j] = adjacency[j, i] = abs(xi - xj) + abs(yi - yj)
-    return adjacency
-
-
-def build_adjacency(positions, layout: SubgraphLayout) -> Tensor:
-    """Manhattan-distance weights on the subgraph edge set, zero elsewhere.
+def adjacency(flat_indices: np.ndarray, w: int) -> np.ndarray:
+    """Manhattan distance between grid positions on the edges of edge_mask(k).
 
     A connected pair at coincident positions keeps its edge with weight 0.
     """
-    if len(positions) != layout.k:
-        raise ConfigurationError(
-            f"got {len(positions)} positions for a layout of {layout.k} nodes"
-        )
-    return Tensor(_fill_adjacency(positions, subgraph_edge_set(layout)))
-
-
-def gather_node_features(f_ffr: Tensor, selection: NodeSelection):
-    """Node feature matrices [N,K,C] for both node sets, ascending-index order."""
-    v_salient = gather_pixels(f_ffr, selection.salient_idx)
-    v_contextual = gather_pixels(f_ffr, selection.contextual_idx)
-    return v_salient, v_contextual
+    x, y = flat_indices % w, flat_indices // w
+    dist = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
+    return (edge_mask(len(flat_indices)) * dist).astype(np.float64)
 
 
 def build_scene_graphs(f_ffr: Tensor, k: int):
-    """Full pipeline from a fused feature map (batch of one) to both graphs."""
-    m = intensity_map(f_ffr)
-    selection = select_nodes(m, k)
-    v_salient, v_contextual = gather_node_features(f_ffr, selection)
-    edges = _edges_for_k(k)
-    graphs = []
-    for kind, idx, feats in (
-        ("salient", selection.salient_idx, v_salient),
-        ("contextual", selection.contextual_idx, v_contextual),
-    ):
-        positions = node_positions(idx, m.w)
-        graphs.append(
-            SceneGraph(
-                kind=kind,
-                node_features=feats,
-                flat_indices=np.asarray(idx),
-                positions=positions,
-                adjacency=Tensor(_fill_adjacency(positions, edges)),
-                edges=set(edges),
-                h=m.h,
-                w=m.w,
-            )
+    """Full pipeline from a fused feature map f_ffr[1,C,H,W] to both graphs."""
+    if f_ffr.data.ndim != 4 or f_ffr.data.shape[0] != 1:
+        raise ConfigurationError(
+            f"build_scene_graphs expects a [1,C,H,W] map, got {f_ffr.data.shape}"
         )
-    return graphs[0], graphs[1]
+    _, _, h, w = f_ffr.data.shape
+    salient, contextual = select_nodes(f_ffr.data.sum(axis=1).reshape(-1), k)
+    return tuple(
+        SceneGraph(kind, gather_pixels(f_ffr, idx), idx, adjacency(idx, w), h, w)
+        for kind, idx in (("salient", salient), ("contextual", contextual))
+    )
 
 
 def export_graphs_json(salient: SceneGraph, contextual: SceneGraph) -> str:
@@ -204,28 +104,24 @@ def export_graphs_json(salient: SceneGraph, contextual: SceneGraph) -> str:
     Nodes are listed salient-first; edge endpoints index this combined node
     array, so contextual edges are offset by k.
     """
-    k = salient.k
-    nodes = []
-    for graph in (salient, contextual):
-        for rank, (flat, (x, y)) in enumerate(
-            zip(graph.flat_indices, graph.positions)
-        ):
-            nodes.append(
-                {
-                    "rank": rank,
-                    "flat_idx": int(flat),
-                    "x": x,
-                    "y": y,
-                    "kind": graph.kind,
-                }
-            )
-    edges = []
-    for offset, graph in ((0, salient), (k, contextual)):
-        adj = graph.adjacency.data
-        for i, j in sorted(graph.edges):
-            edges.append(
-                {"i": i + offset, "j": j + offset, "weight": float(adj[i, j])}
-            )
+    k = len(salient.flat_indices)
+    nodes = [
+        {
+            "rank": rank,
+            "flat_idx": int(flat),
+            "x": int(flat) % g.w,
+            "y": int(flat) // g.w,
+            "kind": g.kind,
+        }
+        for g in (salient, contextual)
+        for rank, flat in enumerate(g.flat_indices)
+    ]
+    pairs = np.argwhere(np.triu(edge_mask(k)))
+    edges = [
+        {"i": int(i) + offset, "j": int(j) + offset, "weight": float(g.adjacency[i, j])}
+        for offset, g in ((0, salient), (k, contextual))
+        for i, j in pairs
+    ]
     return json.dumps(
         {"h": salient.h, "w": salient.w, "k": k, "nodes": nodes, "edges": edges},
         indent=2,

@@ -2,10 +2,11 @@
 
 The classifier concatenates the flattened graph-convolution features of both
 scene graphs with the backbone's pooled embedding and applies a single
-affine layer. Graphs are built per sample because the adjacency depends on
-each sample's selected node positions. Training is plain SGD with momentum
-and a step learning-rate schedule; everything is deterministic given the
-config seed.
+affine layer. Graphs are built per sample, but their edge set is the
+constant ``edge_mask(k)`` of ``graphs.py``: only the selected node positions,
+and so the edge weights, vary from sample to sample. Training is plain SGD
+with momentum and a step learning-rate schedule; everything is deterministic
+given the config seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .backbone import (
     Backbone,
     BackboneConfig,
     build_backbone,
-    feature_map_dims,
     he_uniform,
 )
 from .errors import ConfigurationError, DataError, NumericError
@@ -186,15 +186,6 @@ class SceneModel:
         cfg = self.config
         return 2 * cfg.k_nodes * cfg.gcn_out_channels + cfg.backbone.stage_channels[4]
 
-    def check_graph_capacity(self, h: int, w: int) -> None:
-        """Validate, by stride arithmetic alone, that k nodes fit the fused map."""
-        (h4, w4), _ = feature_map_dims(h, w)
-        if h4 * w4 < 3 * self.config.k_nodes:
-            raise ConfigurationError(
-                f"fused map {h4}x{w4} has {h4 * w4} cells; "
-                f"k={self.config.k_nodes} needs at least {3 * self.config.k_nodes}"
-            )
-
     def features(self, x: Tensor, disable_graph: bool = False):
         """Classifier input [N, 2*K*C_gcn + C5]; also returns per-sample graphs."""
         pyramid = self.backbone.forward(x)
@@ -212,10 +203,10 @@ class SceneModel:
                 all_graphs.append((salient, contextual))
                 outputs = {}
                 for branch, graph in (("sag", salient), ("cag", contextual)):
-                    prop = propagation_matrix(graph.adjacency)
+                    l_norm = propagation_matrix(graph.adjacency)
                     y = graph.node_features
                     for theta in self.thetas[branch]:
-                        y = gcn_layer(y, prop, theta)
+                        y = gcn_layer(y, l_norm, theta)
                     outputs[branch] = y
                 per_sample.append(graph_readout(outputs["sag"], outputs["cag"]))
             rows = per_sample[0] if n == 1 else concat(per_sample, axis=0)
@@ -224,16 +215,6 @@ class SceneModel:
     def forward(self, x: Tensor, disable_graph: bool = False) -> Tensor:
         feats, _ = self.features(x, disable_graph)
         return linear(feats, self.head_weight, self.head_bias)
-
-    def fused_map_and_graphs(self, x: Tensor):
-        """Fused feature map plus the graphs of sample 0 (visualization path)."""
-        with no_grad():
-            pyramid = self.backbone.forward(x)
-            f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
-            salient, contextual = build_scene_graphs(
-                slice_batch(f_ffr, 0), self.config.k_nodes
-            )
-        return f_ffr, salient, contextual
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +654,11 @@ def save_checkpoint(model: SceneModel, directory) -> None:
 
 
 def load_checkpoint(directory) -> SceneModel:
+    """Rebuild the model from its config manifest and load every tensor.
+
+    AGT1 stores f32, so each weight comes back as the nearest f32 of the
+    saved float64 value: within a relative 2**-24 of it, not bit-exact.
+    """
     directory = Path(directory)
     manifest = directory / CONFIG_FILENAME
     if not manifest.is_file():

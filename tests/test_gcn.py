@@ -5,7 +5,7 @@ import pytest
 
 from avscene import gcn
 from avscene import tensor as T
-from avscene.errors import DataError
+from avscene.errors import ConfigurationError, DataError
 
 
 def random_adjacency(rng, k):
@@ -15,63 +15,46 @@ def random_adjacency(rng, k):
     return adj + adj.T
 
 
-class TestLaplacian:
-    def test_two_node_hand_case(self):
-        lap = gcn.laplacian(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert np.array_equal(lap.data, [[2.0, -2.0], [-2.0, 2.0]])
-
-    def test_empty_graph(self):
-        lap = gcn.laplacian(np.zeros((3, 3)))
-        assert np.all(lap.data == 0.0)
-
-    def test_rows_sum_to_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            lap = gcn.laplacian(random_adjacency(rng, 8))
-            assert np.max(np.abs(lap.data.sum(axis=1))) < 1e-12
-
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            lap = gcn.laplacian(random_adjacency(rng, 10))
-            assert np.linalg.eigvalsh(lap.data).min() >= -1e-9
-
-    def test_asymmetry_rejected(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(DataError, match="symmetric"):
-            gcn.laplacian(bad)
-
-
 class TestPropagationMatrix:
     def test_two_node_hand_case(self):
-        prop = gcn.propagation_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        l_norm = gcn.propagation_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         want = np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
-        assert np.max(np.abs(prop.l_norm.data - want)) < 1e-12
-        eig = np.sort(np.linalg.eigvalsh(prop.l_norm.data))
+        assert np.max(np.abs(l_norm - want)) < 1e-12
+        eig = np.sort(np.linalg.eigvalsh(l_norm))
         assert eig[1] == pytest.approx(1.0, abs=1e-12)
         assert eig[0] == pytest.approx(-1 / 3, abs=1e-12)
 
     def test_isolated_nodes_give_identity(self):
-        prop = gcn.propagation_matrix(np.zeros((5, 5)))
-        assert np.array_equal(prop.l_norm.data, np.eye(5))
+        assert np.array_equal(gcn.propagation_matrix(np.zeros((5, 5))), np.eye(5))
 
     def test_spectral_bound_sweep(self):
         # Dense eigensolver oracle over random valid adjacencies.
         rng = np.random.default_rng(2)
         for k in (8, 20, 24):
             for _ in range(34):
-                prop = gcn.propagation_matrix(random_adjacency(rng, k))
-                sym_gap = np.max(np.abs(prop.l_norm.data - prop.l_norm.data.T))
-                assert sym_gap <= 1e-12
-                radius = np.max(np.abs(np.linalg.eigvalsh(prop.l_norm.data)))
+                l_norm = gcn.propagation_matrix(random_adjacency(rng, k))
+                assert np.max(np.abs(l_norm - l_norm.T)) <= 1e-12
+                radius = np.max(np.abs(np.linalg.eigvalsh(l_norm)))
                 assert radius <= 1.0 + 1e-9
+
+    def test_asymmetry_rejected(self):
+        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(DataError, match="symmetric"):
+            gcn.propagation_matrix(bad)
+
+    def test_invalid_adjacency_rejected(self):
+        with pytest.raises(ConfigurationError, match="square"):
+            gcn.propagation_matrix(np.zeros((2, 3)))
+        with pytest.raises(DataError, match="negative"):
+            gcn.propagation_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with pytest.raises(DataError, match="diagonal"):
+            gcn.propagation_matrix(np.eye(2))
 
 
 class TestGcnLayer:
     def test_double_identity(self):
         x = T.Tensor(np.abs(np.random.default_rng(3).standard_normal((2, 4, 3))))
-        prop = gcn.PropagationMatrix(T.Tensor(np.eye(4)))
-        out = gcn.gcn_layer(x, prop, T.Tensor(np.eye(3)))
+        out = gcn.gcn_layer(x, np.eye(4), T.Tensor(np.eye(3)))
         assert np.array_equal(out.data, x.data)
 
     def test_constant_nodes_stay_constant_pre_activation(self):
@@ -86,10 +69,11 @@ class TestGcnLayer:
         m = m / m.sum(axis=1, keepdims=True)
         m = (m + m.T) / 2
         m = m / m.sum(axis=1, keepdims=True)
-        prop = gcn.PropagationMatrix(T.Tensor(m))
-        x = T.Tensor(np.tile(np.array([1.5, -2.0, 0.5]), (1, 4, 1)))
-        theta = T.Tensor(rng.standard_normal((2, 3)))
-        out = gcn.gcn_layer(x, prop, theta, activate=False)
+        # Positive features and filters keep every output above the ReLU kink.
+        x = T.Tensor(np.tile(np.array([1.5, 2.0, 0.5]), (1, 4, 1)))
+        theta = T.Tensor(np.abs(rng.standard_normal((2, 3))))
+        out = gcn.gcn_layer(x, m, theta)
+        assert out.data.min() > 0.0
         spread = out.data.max(axis=1) - out.data.min(axis=1)
         assert np.max(np.abs(spread)) < 1e-9
 
@@ -99,8 +83,7 @@ class TestGcnLayer:
         x = rng.standard_normal((n, k, cin))
         lm = rng.standard_normal((k, k))
         theta = rng.standard_normal((cout, cin))
-        prop = gcn.PropagationMatrix(T.Tensor(lm))
-        got = gcn.gcn_layer(T.Tensor(x), prop, T.Tensor(theta), activate=False).data
+        got = gcn.gcn_layer(T.Tensor(x), lm, T.Tensor(theta)).data
         want = np.zeros((n, k, cout))
         for ni in range(n):
             for i in range(k):
@@ -109,18 +92,26 @@ class TestGcnLayer:
                     for j in range(k):
                         for c in range(cin):
                             acc += lm[i, j] * x[ni, j, c] * theta[o, c]
-                    want[ni, i, o] = acc
+                    want[ni, i, o] = max(acc, 0.0)
         assert np.max(np.abs(got - want)) < 1e-12
+        assert np.any(want == 0.0) and np.any(want > 0.0)  # both ReLU sides
+
+    def test_node_count_mismatch_rejected(self):
+        x = T.Tensor(np.zeros((1, 4, 3)))
+        with pytest.raises(ConfigurationError):
+            gcn.gcn_layer(x, np.eye(5), T.Tensor(np.eye(3)))
+        with pytest.raises(ConfigurationError):
+            gcn.gcn_layer(T.Tensor(np.zeros((4, 3))), np.eye(4), T.Tensor(np.eye(3)))
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
         reg = T.ParamRegistry()
         theta = reg.register("theta", rng.standard_normal((2, 3)))
         x = reg.register("x", rng.standard_normal((2, 4, 3)))
-        prop = gcn.propagation_matrix(random_adjacency(rng, 4))
+        l_norm = gcn.propagation_matrix(random_adjacency(rng, 4))
 
         def loss():
-            return T.total_sum(gcn.gcn_layer(x, prop, theta))
+            return T.total_sum(gcn.gcn_layer(x, l_norm, theta))
 
         report = T.finite_diff_check(reg, loss, epsilon=1e-5)
         assert report.max_relative_error < 1e-5, report.per_param

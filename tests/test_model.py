@@ -1,10 +1,22 @@
-"""Whole-model checks: gradients through every layer of SceneModel."""
+"""Whole-model checks: gradients, config text, checkpoints and determinism."""
 
 import numpy as np
+import pytest
 
 from avscene import tensor as T
 from avscene.backbone import BackboneConfig
-from avscene.model import ModelConfig, SceneModel
+from avscene.errors import ConfigurationError, DataError
+from avscene.model import (
+    ModelConfig,
+    SceneModel,
+    config_from_flat,
+    config_to_text,
+    load_checkpoint,
+    parse_config_text,
+    save_checkpoint,
+    synth_splits,
+    train,
+)
 
 
 def micro_model(seed):
@@ -60,3 +72,64 @@ class TestWholeModelGradient:
                 if name.startswith(prefix) and p.grad is not None
             ]
             assert grads and max(grads) > 0.0, prefix
+
+
+class TestConfigText:
+    @pytest.mark.parametrize(
+        "config",
+        [ModelConfig.tiny(), ModelConfig.full(8)],
+        ids=["tiny", "full"],
+    )
+    def test_round_trip(self, config):
+        assert config_from_flat(parse_config_text(config_to_text(config))) == config
+
+    def test_line_without_equals_names_its_line(self):
+        text = "# header\nmodel.num_classes = 4\n\nmodel.k_nodes 8\n"
+        with pytest.raises(ConfigurationError, match="line 4"):
+            parse_config_text(text)
+
+
+class TestCheckpoint:
+    @staticmethod
+    def randomized_model():
+        model = SceneModel.build(ModelConfig.tiny(seed=3))
+        rng = np.random.default_rng(3)
+        # Built heads and shifts are zero, which f32 stores exactly.
+        for _, p in model.registry.items():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        return model
+
+    def test_round_trip_within_f32_rounding(self, tmp_path):
+        model = self.randomized_model()
+        save_checkpoint(model, tmp_path)
+        loaded = load_checkpoint(tmp_path)
+        assert loaded.config == model.config
+        assert loaded.registry.names() == model.registry.names()
+        for name, p in model.registry.items():
+            got = loaded.registry[name].data
+            assert np.array_equal(got, p.data.astype(np.float32).astype(np.float64)), name
+            # Round to nearest f32: relative error at most 2**-24.
+            assert np.all(np.abs(got - p.data) <= 2.0**-24 * np.abs(p.data)), name
+
+    def test_missing_tensor_names_it(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        (tmp_path / "head.bias.agt1").unlink()
+        with pytest.raises(DataError, match="head.bias"):
+            load_checkpoint(tmp_path)
+
+    def test_wrong_shape_names_it(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        T.write_agt1(tmp_path / "head.bias.agt1", np.zeros(5))
+        with pytest.raises(DataError, match="head.bias"):
+            load_checkpoint(tmp_path)
+
+
+class TestDeterminism:
+    def test_two_runs_give_identical_losses(self):
+        config = ModelConfig.tiny(seed=5, epochs=2)
+        dataset = synth_splits("audio", 4, 16, 0, seed=5)
+        _, first = train(config, dataset)
+        _, second = train(config, dataset)
+        assert len(first.losses) == 2
+        assert np.all(np.isfinite(first.losses))
+        assert first.losses == second.losses
