@@ -4,7 +4,9 @@ The stride pattern is fixed: a 7x7 stride-2 stem, a stride-1 second stage,
 then three stride-2 stages. Channel widths and depth are configurable so the
 same code serves both the full-width network and a tiny trainable variant.
 Per-channel affine (scale/shift) parameters stand in for batch statistics,
-keeping the forward pass deterministic and batch-size independent.
+keeping the forward pass deterministic and batch-size independent. A conv
+unit's affine and ReLU live inside its ``conv2d`` op, and a residual join's
+ReLU inside its ``add``: each records one tape node.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import (
-    ParamRegistry,
-    Tensor,
-    add,
-    channel_affine,
-    conv2d,
-    global_avg_pool,
-    relu,
-)
+from .tensor import ParamRegistry, Tensor, add, conv2d, global_avg_pool
 
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5; the stem is always stride 2
 
@@ -109,11 +103,12 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class ConvUnit:
-    """Convolution (no bias) followed by a learnable per-channel affine."""
+    """Convolution, learnable per-channel affine and optional ReLU, as one ``conv2d`` op."""
 
-    def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, padding):
+    def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, padding, relu):
         self.stride = stride
         self.padding = padding
+        self.relu = relu
         self.weight = registry.register(
             f"{name}.weight",
             he_uniform(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel),
@@ -122,8 +117,9 @@ class ConvUnit:
         self.shift = registry.register(f"{name}.shift", np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        y = conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        return channel_affine(y, self.scale, self.shift)
+        return conv2d(
+            x, self.weight, self.shift, self.stride, self.padding, self.scale, self.relu
+        )
 
 
 class ResidualBlock:
@@ -132,27 +128,24 @@ class ResidualBlock:
     def __init__(self, registry, rng, name, c_in, c_out, stride, block_type):
         self.block_type = block_type
         if block_type == "basic":
-            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, c_out, 3, stride, 1)
-            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", c_out, c_out, 3, 1, 1)
+            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, c_out, 3, stride, 1, relu=True)
+            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", c_out, c_out, 3, 1, 1, relu=False)
         else:
             mid = c_out // 4
-            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, mid, 1, 1, 0)
-            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", mid, mid, 3, stride, 1)
-            self.conv_c = ConvUnit(registry, rng, f"{name}.conv_c", mid, c_out, 1, 1, 0)
+            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, mid, 1, 1, 0, relu=True)
+            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", mid, mid, 3, stride, 1, relu=True)
+            self.conv_c = ConvUnit(registry, rng, f"{name}.conv_c", mid, c_out, 1, 1, 0, relu=False)
         if stride != 1 or c_in != c_out:
-            self.proj = ConvUnit(registry, rng, f"{name}.proj", c_in, c_out, 1, stride, 0)
+            self.proj = ConvUnit(registry, rng, f"{name}.proj", c_in, c_out, 1, stride, 0, relu=False)
         else:
             self.proj = None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = relu(self.conv_a.forward(x))
-        if self.block_type == "basic":
-            y = self.conv_b.forward(y)
-        else:
-            y = relu(self.conv_b.forward(y))
+        y = self.conv_b.forward(self.conv_a.forward(x))
+        if self.block_type == "bottleneck":
             y = self.conv_c.forward(y)
         shortcut = self.proj.forward(x) if self.proj is not None else x
-        return relu(add(y, shortcut))
+        return add(y, shortcut, relu=True)
 
 
 @dataclass
@@ -168,7 +161,7 @@ class Backbone:
                 f"backbone expects [N,{self.config.in_channels},H,W], got {x.data.shape}"
             )
         feature_map_dims(x.data.shape[2], x.data.shape[3])  # raises if too small
-        y = relu(self.stem.forward(x))
+        y = self.stem.forward(x)
         outputs = []
         for stage in self.stages:
             for block in stage:
@@ -189,7 +182,7 @@ def build_backbone(
     registry = registry if registry is not None else ParamRegistry()
     rng = rng if rng is not None else np.random.default_rng(seed)
     c = config.stage_channels
-    stem = ConvUnit(registry, rng, f"{prefix}.conv1", config.in_channels, c[0], 7, 2, 3)
+    stem = ConvUnit(registry, rng, f"{prefix}.conv1", config.in_channels, c[0], 7, 2, 3, relu=True)
     stages = []
     c_in = c[0]
     for stage_idx, (c_out, n_blocks, stride) in enumerate(

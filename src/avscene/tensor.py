@@ -5,6 +5,10 @@ activations, pooling, bilinear resampling, the classification loss, a
 parameter registry, a finite-difference gradient checker, and the AGT1
 tensor file format used for feature exchange and checkpoints.
 
+A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
+bias[O])``, and ``add(a, b, relu=True)`` is the residual join; both work in
+place only on the fresh output they allocate, never on their inputs.
+
 Gradients are computed by recording a tape of backward closures during the
 forward pass and replaying it in reverse topological order. The replay
 consumes the tape: each interior node's gradient, closure and parent links
@@ -148,12 +152,18 @@ def _record(out: Tensor, parents: tuple, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """a + b, optionally followed by a ReLU applied in place on the fresh sum."""
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"add: shape {a.data.shape} != {b.data.shape}")
-    out = Tensor(a.data + b.data)
+    y = a.data + b.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
 
     def bwd(g):
+        if relu:
+            g = g * (y > 0.0)  # subgradient at exactly 0 is 0
         if a.requires_grad:
             _accumulate(a, g)
         if b.requires_grad:
@@ -366,8 +376,15 @@ def conv2d(
     bias: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
+    scale: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
-    """2-D cross-correlation of x[N,C,H,W] with w[O,C,kh,kw]."""
+    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O]) for x[N,C,H,W], w[O,C,kh,kw].
+
+    ``w ⋆ x`` is the 2-D cross-correlation. The affine and the ReLU run in
+    place on the matrix product's fresh output, so the tape keeps only the
+    im2col columns and that output; the backward masks by ``out > 0``.
+    """
     xn, wn = x.data, w.data
     if xn.ndim != 4 or wn.ndim != 4:
         raise ConfigurationError(
@@ -379,15 +396,16 @@ def conv2d(
         raise ConfigurationError(f"conv2d: weight expects {cw} channels, input has {c}")
     if stride < 1:
         raise ConfigurationError(f"conv2d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ConfigurationError(f"conv2d: padding must be >= 0, got {padding}")
     hp, wp = h + 2 * padding, wd + 2 * padding
     if kh > hp or kw > wp:
         raise ConfigurationError(
             f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
         )
-    if bias is not None and bias.data.shape != (o,):
-        raise ConfigurationError(
-            f"conv2d: bias shape {bias.data.shape} != ({o},)"
-        )
+    for name, t in (("scale", scale), ("bias", bias)):
+        if t is not None and t.data.shape != (o,):
+            raise ConfigurationError(f"conv2d: {name} shape {t.data.shape} != ({o},)")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if padding:
@@ -402,19 +420,33 @@ def conv2d(
     else:
         cols = _im2col(xp, kh, kw, stride, ho, wo)
     w2 = wn.reshape(o, -1)
-    y = np.matmul(w2, cols).reshape(n, o, ho, wo)
+    y = np.matmul(w2, cols)  # fresh [N,O,ho*wo]: the in-place steps below own it
+    if scale is not None:
+        y *= scale.data.reshape(1, o, 1)
     if bias is not None:
-        y = y + bias.data.reshape(1, o, 1, 1)
-    out = Tensor(y)
+        y += bias.data.reshape(1, o, 1)
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y.reshape(n, o, ho, wo))
 
     def bwd(g):
         g2 = g.reshape(n, o, ho * wo)
-        if w.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w, dw.reshape(wn.shape))
+        if relu:
+            g2 = g2 * (y > 0.0)  # subgradient at exactly 0 is 0
+        scaled = scale is not None
+        if w.requires_grad or (scaled and scale.requires_grad):
+            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            if scaled and scale.requires_grad:
+                _accumulate(scale, np.einsum("ok,ok->o", gw, w2))
+            if w.requires_grad:
+                if scaled:
+                    gw *= scale.data[:, None]
+                _accumulate(w, gw.reshape(wn.shape))
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(bias, g2.sum(axis=(0, 2)))
         if x.requires_grad:
+            if scaled:
+                g2 = g2 * scale.data.reshape(1, o, 1)
             dcols = np.matmul(w2.T, g2)
             if kh == 1 and kw == 1 and stride == 1:
                 # Every padded pixel is exactly one column: no overlap to add.
@@ -425,7 +457,7 @@ def conv2d(
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
             _accumulate(x, dxp)
 
-    parents = (x, w) if bias is None else (x, w, bias)
+    parents = (x, w) + tuple(t for t in (scale, bias) if t is not None)
     return _record(out, parents, bwd)
 
 
@@ -466,29 +498,6 @@ def channel_bias_add(x: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=axes))
 
     return _record(out, (x, b), bwd)
-
-
-def channel_affine(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Per-channel x * scale + shift for x[N,C,...] with scale, shift of shape [C]."""
-    c = x.data.shape[1]
-    if scale.data.shape != (c,) or shift.data.shape != (c,):
-        raise ConfigurationError(
-            f"channel_affine: scale/shift must be ({c},), got "
-            f"{scale.data.shape}/{shift.data.shape}"
-        )
-    shp = (1, c) + (1,) * (x.data.ndim - 2)
-    out = Tensor(x.data * scale.data.reshape(shp) + shift.data.reshape(shp))
-    axes = (0,) + tuple(range(2, x.data.ndim))
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g * scale.data.reshape(shp))
-        if scale.requires_grad:
-            _accumulate(scale, (g * x.data).sum(axis=axes))
-        if shift.requires_grad:
-            _accumulate(shift, g.sum(axis=axes))
-
-    return _record(out, (x, scale, shift), bwd)
 
 
 def channel_scale(x: Tensor, s: Tensor) -> Tensor:

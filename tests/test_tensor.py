@@ -12,8 +12,11 @@ from avscene import tensor as T
 from avscene.errors import ConfigurationError, DataError
 
 
-def naive_conv2d(x, w, bias=None, stride=1, padding=0):
-    """Six-loop reference convolution, independent of the im2col path."""
+def naive_conv2d(x, w, bias=None, stride=1, padding=0, scale=None, relu=False):
+    """Six-loop reference conv unit, independent of the im2col path.
+
+    Computes relu?(scale[O] * (w ⋆ x) + bias[O]) one output scalar at a time.
+    """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -33,22 +36,31 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=0):
                                     * w[oi, ci, i, j]
                                 )
                     out[ni, oi, yi, xi] = acc
+            if scale is not None:
+                out[ni, oi] *= scale[oi]
             if bias is not None:
                 out[ni, oi] += bias[oi]
-    return out
+    return np.maximum(out, 0.0) if relu else out
 
 
-def naive_conv2d_grads(x, w, g, stride=1, padding=0):
-    """Loop reference for conv2d's backward: (dx, dw, dbias) given output grad g.
+def naive_conv2d_grads(x, w, g, stride=1, padding=0, bias=None, scale=None, relu=False):
+    """Loop reference for the conv unit's backward: (dx, dw, dscale, dbias).
 
-    Every output position scatters g times its input window into dw and g
-    times the kernel into dx, with no im2col and no matrix product.
+    With the ReLU, g is first zeroed where the pre-activation is not
+    positive. Every output position then scatters g times scale times its
+    input window into dw and g times scale times the kernel into dx, and adds
+    g times its raw window product to dscale, with no im2col and no matrix
+    product. Without ``scale``, dscale is the gradient a unit scale would get.
     """
     n, _, h, wd = x.shape
     o, _, kh, kw = w.shape
+    if relu:
+        g = g * (naive_conv2d(x, w, bias, stride, padding, scale) > 0.0)
+    s = np.ones(o) if scale is None else scale
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
+    ds = np.zeros(o)
     db = np.zeros(o)
     for ni in range(n):
         for oi in range(o):
@@ -56,10 +68,12 @@ def naive_conv2d_grads(x, w, g, stride=1, padding=0):
                 for xi in range(g.shape[3]):
                     ys, xs = yi * stride, xi * stride
                     gv = g[ni, oi, yi, xi]
-                    dw[oi] += gv * xp[ni, :, ys : ys + kh, xs : xs + kw]
-                    dxp[ni, :, ys : ys + kh, xs : xs + kw] += gv * w[oi]
+                    window = xp[ni, :, ys : ys + kh, xs : xs + kw]
+                    dw[oi] += gv * s[oi] * window
+                    dxp[ni, :, ys : ys + kh, xs : xs + kw] += gv * s[oi] * w[oi]
+                    ds[oi] += gv * np.sum(window * w[oi])
                     db[oi] += gv
-    return dxp[:, :, padding : padding + h, padding : padding + wd], dw, db
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw, ds, db
 
 
 class TestConv2d:
@@ -116,6 +130,20 @@ class TestConv2d:
         with pytest.raises(ConfigurationError):
             T.conv2d(x, w)
 
+    def test_negative_padding_names_padding(self):
+        x = T.Tensor(np.zeros((1, 1, 8, 8)))
+        w = T.Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ConfigurationError, match="padding"):
+            T.conv2d(x, w, padding=-1)
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
+    def test_channel_vector_shape_names_it(self, name, shape):
+        x = T.Tensor(np.zeros((1, 1, 4, 4)))
+        w = T.Tensor(np.zeros((2, 1, 3, 3)))
+        with pytest.raises(ConfigurationError, match=f"{name} shape"):
+            T.conv2d(x, w, **{name: T.Tensor(np.zeros(shape))})
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 9, 9))
@@ -125,17 +153,26 @@ class TestConv2d:
         assert np.array_equal(a, b)
 
 
-def conv2d_grads(x, w, b, g, stride, padding):
-    """(dx, dw, dbias) from conv2d's taped backward for output gradient g."""
-    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+def conv2d_grads(x, w, g, stride, padding, bias=None, scale=None, relu=False):
+    """(out, dx, dw, dscale, dbias) from conv2d's forward and taped backward.
+
+    dscale and dbias are None when the unit has no scale or no bias.
+    """
+    xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    bt, st = (None if a is None else T.Tensor(a, requires_grad=True) for a in (bias, scale))
+    out = T.conv2d(xt, wt, bt, stride=stride, padding=padding, scale=st, relu=relu)
     T.total_sum(T.mul(out, T.Tensor(g))).backward()
-    return xt.grad, wt.grad, bt.grad
+    grads = tuple(None if t is None else t.grad for t in (xt, wt, st, bt))
+    return (out.data,) + grads
 
 
 def assert_rel_close(got, want, rel=1e-12):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# (scaled, relu): bias only, the backbone's conv_c/proj unit, its conv_a/conv_b unit
+CONV_UNIT_MODES = ((False, False), (True, False), (True, True))
 
 
 class TestConv2dBackward:
@@ -156,11 +193,13 @@ class TestConv2dBackward:
     )
     def test_matches_loop_reference(self, n, c, o, k, stride, pad, h, wd):
         rng = np.random.default_rng(n * 1000 + k * 10 + stride)
-        self.check(rng, n, c, o, k, stride, pad, h, wd)
+        pre = self.check(rng, n, c, o, k, stride, pad, h, wd)
+        assert (pre > 0.0).any() and (pre < 0.0).any()  # both ReLU sides
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_loop_reference_random_sweep(self, n):
         rng = np.random.default_rng(29 + n)
+        signs = []
         for _ in range(30):
             c = int(rng.integers(1, 4))
             o = int(rng.integers(1, 4))
@@ -169,18 +208,31 @@ class TestConv2dBackward:
             pad = int(rng.integers(0, 2))
             h = int(rng.integers(k, k + 5))
             wd = int(rng.integers(k, k + 5))
-            self.check(rng, n, c, o, k, stride, pad, h, wd)
+            signs.append(self.check(rng, n, c, o, k, stride, pad, h, wd).ravel() > 0.0)
+        positive = np.concatenate(signs).mean()
+        assert 0.25 < positive < 0.75  # both ReLU sides, in about equal share
 
     @staticmethod
     def check(rng, n, c, o, k, stride, pad, h, wd):
+        """Compare forward and gradients in every mode; returns the pre-activation."""
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((o, c, k, k))
         b = rng.standard_normal(o)
-        g = rng.standard_normal(naive_conv2d(x, w, stride=stride, padding=pad).shape)
-        got = conv2d_grads(x, w, b, g, stride, pad)
-        want = naive_conv2d_grads(x, w, g, stride, pad)
-        for gv, wv in zip(got, want):
-            assert_rel_close(gv, wv)
+        s = rng.standard_normal(o)
+        pre = naive_conv2d(x, w, b, stride, pad, scale=s)
+        # Windows wholly in the padding give exactly the bias, which is not 0.
+        assert np.all(pre != 0.0)  # no pre-activation on the ReLU's kink
+        g = rng.standard_normal(pre.shape)
+        for scaled, relu in CONV_UNIT_MODES:
+            scale = s if scaled else None
+            got = conv2d_grads(x, w, g, stride, pad, b, scale, relu)
+            want = (naive_conv2d(x, w, b, stride, pad, scale, relu),) + naive_conv2d_grads(
+                x, w, g, stride, pad, b, scale, relu
+            )
+            for gv, wv in zip(got, want):
+                if gv is not None:
+                    assert_rel_close(gv, wv)
+        return pre
 
 
 class TestConv1x1:
@@ -226,6 +278,25 @@ class TestElementwiseAndPooling:
     def test_relu_definition(self):
         out = T.relu(T.Tensor(np.array([-1.0, 0.0, 2.0])))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_add_relu_is_relu_of_add_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((2, 3, 4, 4))
+        b = rng.standard_normal((2, 3, 4, 4))
+        b[0, 0] = -a[0, 0]  # sums exactly on the kink
+        g = rng.standard_normal(a.shape)
+
+        def run(fused):
+            at = T.Tensor(a, requires_grad=True)
+            bt = T.Tensor(b, requires_grad=True)
+            out = T.add(at, bt, relu=True) if fused else T.relu(T.add(at, bt))
+            T.total_sum(T.mul(out, T.Tensor(g))).backward()
+            return out.data, at.grad, bt.grad
+
+        fused, reference = run(True), run(False)
+        assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+        for got, want in zip(fused, reference):
+            assert np.array_equal(got, want)
 
     def test_sigmoid_extremes_stay_finite(self):
         out = T.sigmoid(T.Tensor(np.array([-1000.0, 0.0, 1000.0])))
@@ -388,6 +459,7 @@ class TestAutodiff:
         "name",
         [
             "conv2d",
+            "conv2d_affine_relu",
             "conv1x1",
             "relu",
             "sigmoid",
@@ -414,6 +486,14 @@ class TestAutodiff:
             x = reg.register("x", rng.standard_normal((2, 3, 5, 4)) * 0.5)
             fn = lambda: T.total_sum(
                 T.sigmoid(T.conv2d(x, w, b, stride=2, padding=1))
+            )
+        elif name == "conv2d_affine_relu":
+            w = reg.register("w", rng.standard_normal((3, 2, 3, 3)) * 0.5)
+            s = reg.register("s", rng.standard_normal(3))
+            b = reg.register("b", rng.standard_normal(3) * 0.5)
+            x = reg.register("x", rng.standard_normal((2, 2, 5, 4)) * 0.5)
+            fn = lambda: T.total_sum(
+                T.sigmoid(T.conv2d(x, w, b, stride=2, padding=1, scale=s, relu=True))
             )
         elif name == "conv1x1":
             w = reg.register("w", rng.standard_normal((2, 4)))
