@@ -7,6 +7,13 @@ constant ``edge_mask(k)`` of ``graphs.py``: only the selected node positions,
 and so the edge weights, vary from sample to sample. Training is plain SGD
 with momentum and a step learning-rate schedule; everything is deterministic
 given the config seed.
+
+A model computes in the dtype of its parameters. ``SceneModel.build`` and
+``JointSceneModel.build`` make a float32 registry unless given one; the
+input is cast to the registry's dtype at the model boundary
+(``SceneModel.features``), and the loss is reduced in float64. A
+``ParamRegistry`` built without a dtype is float64, which gradient checks
+and exact reference tests use.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .graphs import build_scene_graphs
 from .tensor import (
     ParamRegistry,
     Tensor,
+    cast,
     concat,
     linear,
     no_grad,
@@ -146,7 +154,12 @@ class SceneModel:
         prefix: str = "",
         with_head: bool = True,
     ) -> "SceneModel":
-        registry = registry if registry is not None else ParamRegistry()
+        """Register every parameter, deterministically from ``config.seed``.
+
+        Without a ``registry`` the model gets a float32 one and computes in
+        float32; pass ``ParamRegistry(np.float64)`` for float64 compute.
+        """
+        registry = registry if registry is not None else ParamRegistry(np.float32)
         rng = np.random.default_rng(config.seed)
         model = cls(config, registry, prefix)
         c4, c5 = config.backbone.stage_channels[3], config.backbone.stage_channels[4]
@@ -187,14 +200,18 @@ class SceneModel:
         return 2 * cfg.k_nodes * cfg.gcn_out_channels + cfg.backbone.stage_channels[4]
 
     def features(self, x: Tensor, disable_graph: bool = False):
-        """Classifier input [N, 2*K*C_gcn + C5]; also returns per-sample graphs."""
-        pyramid = self.backbone.forward(x)
+        """Classifier input [N, 2*K*C_gcn + C5]; also returns per-sample graphs.
+
+        x is cast to the registry's dtype first.
+        """
+        dtype = self.registry.dtype
+        pyramid = self.backbone.forward(cast(x, dtype))
         f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
         n = x.data.shape[0]
         cfg = self.config
         all_graphs = []
         if disable_graph:
-            rows = Tensor(np.zeros((n, 2 * cfg.k_nodes * cfg.gcn_out_channels)))
+            rows = Tensor(np.zeros((n, 2 * cfg.k_nodes * cfg.gcn_out_channels), dtype))
         else:
             per_sample = []
             for i in range(n):
@@ -541,7 +558,7 @@ class JointSceneModel:
     ) -> "JointSceneModel":
         if audio_config.num_classes != visual_config.num_classes:
             raise ConfigurationError("modality configs disagree on class count")
-        registry = ParamRegistry()
+        registry = ParamRegistry(np.float32)
         audio = SceneModel.build(
             audio_config, registry=registry, prefix="audio.", with_head=False
         )
@@ -656,8 +673,10 @@ def save_checkpoint(model: SceneModel, directory) -> None:
 def load_checkpoint(directory) -> SceneModel:
     """Rebuild the model from its config manifest and load every tensor.
 
-    AGT1 stores f32, so each weight comes back as the nearest f32 of the
-    saved float64 value: within a relative 2**-24 of it, not bit-exact.
+    The model is float32, as ``SceneModel.build`` makes it, and AGT1 stores
+    f32, so the weights of a float32 model come back bit for bit. Those of a
+    model built with a float64 registry come back as the nearest f32, within
+    a relative 2**-24.
     """
     directory = Path(directory)
     manifest = directory / CONFIG_FILENAME

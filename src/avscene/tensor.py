@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every numeric kernel the scene classifier needs lives here: convolutions,
 activations, pooling, bilinear resampling, the classification loss, a
@@ -14,9 +14,16 @@ forward pass and replaying it in reverse topological order. The replay
 consumes the tape: each interior node's gradient, closure and parent links
 are released as soon as its closure has run, so only leaves (parameters and
 inputs created with ``requires_grad``) keep ``grad``, and a second
-``backward()`` through a consumed node raises ``ConfigurationError``. All
-math is 64-bit; only the AGT1 file format stores 32-bit floats. There is no
-broadcasting beyond bias addition: operands must match shapes exactly.
+``backward()`` through a consumed node raises ``ConfigurationError``.
+
+A tensor holds float32 or float64; any other input becomes float64. Every op
+computes in its operands' dtype, and a gradient takes the dtype of the tensor
+it belongs to. ``softmax_cross_entropy`` is the exception: it reduces in
+float64 and returns a float64 loss, as in mixed-precision training. A
+``ParamRegistry`` casts its parameters to one dtype, float64 by default. The
+AGT1 file format stores float32, so a float32 tensor round-trips bit for bit.
+There is no broadcasting beyond bias addition: operands must match shapes
+exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError
+
+# Dtypes a Tensor keeps as given; any other input becomes float64.
+_FLOAT_DTYPES = frozenset({np.dtype(np.float32), np.dtype(np.float64)})
 
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "grad_enabled", default=True
@@ -47,7 +57,7 @@ def no_grad():
 
 
 class Tensor:
-    """N-dimensional float64 array plus an optional gradient.
+    """N-dimensional float32 or float64 array plus an optional gradient.
 
     A tensor produced by an operation holds references to its parents and a
     backward closure; calling ``backward()`` on a scalar result walks the
@@ -58,7 +68,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple = ()
@@ -133,8 +144,10 @@ def _consumed(g) -> None:
 
 def _accumulate(t: Tensor, g) -> None:
     # First assignment copies: g may alias another tensor's grad buffer.
+    # The copy takes t's dtype, so a float64 gradient (the loss's) reaching a
+    # float32 tensor is cast back; += keeps the dtype of t.grad.
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -230,6 +243,18 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
+
+
+def cast(x: Tensor, dtype) -> Tensor:
+    """x in another float dtype (x itself if it has it); the gradient is cast back."""
+    if x.data.dtype == dtype:
+        return x
+    out = Tensor(x.data.astype(dtype))
+
+    def bwd(g):
+        _accumulate(x, g)  # _accumulate casts to x's dtype
+
+    return _record(out, (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -328,8 +353,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
-    """Apply a constant [K,K] matrix to each batch item of x[N,K,C]."""
-    m = np.asarray(m, dtype=np.float64)
+    """Apply a constant [K,K] matrix, cast to x's dtype, to each item of x[N,K,C]."""
+    m = np.asarray(m, dtype=x.data.dtype)
     if x.data.ndim != 3 or m.shape != (x.data.shape[1], x.data.shape[1]):
         raise ConfigurationError(
             f"batched_matrix_apply: m {m.shape} does not fit x {x.data.shape}"
@@ -361,7 +386,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
 def _col2im(dcols, shape, kh: int, kw: int, stride: int, ho: int, wo: int):
     n, c, hp, wp = shape
     d6 = dcols.reshape(n, c, kh, kw, ho, wo)
-    out = np.zeros(shape)
+    out = np.zeros(shape, dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
@@ -410,7 +435,7 @@ def conv2d(
     wo = (wp - kw) // stride + 1
     if padding:
         # Manual zero padding: np.pad is slow on this hot path.
-        xp = np.zeros((n, c, hp, wp))
+        xp = np.zeros((n, c, hp, wp), dtype=xn.dtype)
         xp[:, :, padding : padding + h, padding : padding + wd] = xn
     else:
         xp = xn
@@ -536,8 +561,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=256)
-def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """[n_out, n_in] linear interpolation weights along one axis."""
+def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """[n_out, n_in] linear interpolation weights along one axis, in ``dtype``."""
     # Half-pixel-center mapping, clamped at the borders.
     pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     pos = np.clip(pos, 0.0, n_in - 1.0)
@@ -548,6 +573,7 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     r = np.zeros((n_out, n_in))
     r[rows, lo] = 1.0 - frac
     r[rows, hi] += frac  # hi == lo only at the clamped border, where frac == 0
+    r = r.astype(dtype, copy=False)
     r.flags.writeable = False  # the cache hands this array to every caller
     return r
 
@@ -559,8 +585,8 @@ def bilinear_resize_array(a: np.ndarray, h2: int, w2: int) -> np.ndarray:
     becomes R_y · X · R_xᵀ, where R_y[h2,H] and R_x[w2,W] interpolate one
     axis each with half-pixel centers, clamped at the borders.
     """
-    ry = _resize_matrix(a.shape[-2], h2)
-    rx = _resize_matrix(a.shape[-1], w2)
+    ry = _resize_matrix(a.shape[-2], h2, a.dtype)
+    rx = _resize_matrix(a.shape[-1], w2, a.dtype)
     return ry @ a @ rx.T
 
 
@@ -575,8 +601,8 @@ def bilinear_upsample(x: Tensor, h2: int, w2: int) -> Tensor:
         raise ConfigurationError(f"bilinear_upsample: need rank 4, got {x.data.ndim}")
     if h2 < 1 or w2 < 1:
         raise ConfigurationError(f"bilinear_upsample: bad target {h2}x{w2}")
-    ry = _resize_matrix(x.data.shape[2], h2)
-    rx = _resize_matrix(x.data.shape[3], w2)
+    ry = _resize_matrix(x.data.shape[2], h2, x.data.dtype)
+    rx = _resize_matrix(x.data.shape[3], w2, x.data.dtype)
     out = Tensor(ry @ x.data @ rx.T)
 
     def bwd(g):
@@ -627,7 +653,11 @@ def softmax_probs(logits) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under row softmax."""
+    """Mean negative log-likelihood of integer labels under row softmax.
+
+    The log-sum-exp and the mean run in float64 whatever the logits' dtype,
+    and the loss is float64; the logits' gradient is cast back to their dtype.
+    """
     if logits.data.ndim != 2:
         raise ConfigurationError(
             f"softmax_cross_entropy: logits must be rank 2, got {logits.data.ndim}"
@@ -640,7 +670,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DataError(
             f"softmax_cross_entropy: label out of range [0, {l}): {y[(y < 0) | (y >= l)][0]}"
         )
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits.data.astype(np.float64)
+    z -= z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     rows = np.arange(n)
@@ -660,18 +691,33 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class ParamRegistry:
-    """Ordered name -> trainable Tensor map; iteration is insertion order."""
+    """Ordered name -> trainable Tensor map; iteration is insertion order.
 
-    def __init__(self):
+    Every parameter has the registry's ``dtype``, float32 or float64: an
+    array is cast to it on registration, and a Tensor of another dtype is
+    rejected.
+    """
+
+    def __init__(self, dtype=np.float64):
+        if dtype not in (np.float32, np.float64):
+            raise ConfigurationError(
+                f"ParamRegistry: dtype must be float32 or float64, got {dtype!r}"
+            )
+        self.dtype = np.dtype(dtype)
         self._entries: dict[str, Tensor] = {}
 
     def register(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ConfigurationError(f"duplicate parameter name: {name}")
-        t = value if isinstance(value, Tensor) else Tensor(value)
-        t.requires_grad = True
-        self._entries[name] = t
-        return t
+        if not isinstance(value, Tensor):
+            value = Tensor(np.asarray(value, dtype=self.dtype))
+        elif value.data.dtype != self.dtype:
+            raise ConfigurationError(
+                f"parameter {name}: dtype {value.data.dtype} != registry dtype {self.dtype}"
+            )
+        value.requires_grad = True
+        self._entries[name] = value
+        return value
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]

@@ -7,6 +7,8 @@ from avscene import tensor as T
 from avscene.backbone import BackboneConfig
 from avscene.errors import ConfigurationError, DataError
 from avscene.model import (
+    SGD,
+    JointSceneModel,
     ModelConfig,
     SceneModel,
     config_from_flat,
@@ -28,7 +30,8 @@ def micro_model(seed):
         gcn_out_channels=2,
         seed=seed,
     )
-    model = SceneModel.build(config)
+    # float64: the 1e-6 bound below is far under float32 round-off.
+    model = SceneModel.build(config, registry=T.ParamRegistry(np.float64))
     rng = np.random.default_rng(seed + 1)
     # The built head is zero, which makes every gradient below it zero.
     model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
@@ -74,6 +77,90 @@ class TestWholeModelGradient:
             assert grads and max(grads) > 0.0, prefix
 
 
+def tape_nodes(root):
+    """Every tensor reachable from root through ``_parents``."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestFloat32Policy:
+    @pytest.mark.parametrize("disable_graph", [False, True], ids=["graphs", "no_graph"])
+    def test_whole_tape_and_update_stay_float32(self, disable_graph):
+        model = SceneModel.build(ModelConfig.tiny(seed=2))
+        assert model.registry.dtype == np.float32
+        model.head_weight.data[...] = np.random.default_rng(2).standard_normal(
+            model.head_weight.shape
+        )
+        optimizer = SGD(model.registry)
+        # A float64 input, as train and evaluate pass it: cast at the boundary.
+        x = T.Tensor(np.random.default_rng(3).standard_normal((2, 1, 64, 32)))
+        logits = model.forward(x, disable_graph=disable_graph)
+        nodes = tape_nodes(logits)
+        assert len(nodes) > 40
+        promoted = [n.shape for n in nodes if n.data.dtype != np.float32]
+        assert not promoted, promoted
+        loss = T.softmax_cross_entropy(logits, [0, 3])
+        assert loss.data.dtype == np.float64
+        loss.backward()
+        optimizer.step(0.01)
+        for name, p in model.registry.items():
+            assert p.data.dtype == np.float32, name
+            assert optimizer.velocity[name].dtype == np.float32, name
+            if p.grad is None:
+                # Off the path without graphs: the fusion and the GCN.
+                assert disable_graph and name.startswith(("afm.", "gcn.")), name
+            else:
+                assert p.grad.dtype == np.float32, name
+
+    def test_joint_model_is_float32(self):
+        joint = JointSceneModel.build(
+            ModelConfig.tiny(modality="audio"), ModelConfig.tiny(modality="visual")
+        )
+        assert joint.registry.dtype == np.float32
+        assert all(p.data.dtype == np.float32 for p in joint.registry.tensors())
+
+    def test_resize_matrix_is_cached_per_dtype(self):
+        r32 = T._resize_matrix(5, 9, np.dtype(np.float32))
+        r64 = T._resize_matrix(5, 9, np.dtype(np.float64))
+        assert (r32.dtype, r64.dtype) == (np.float32, np.float64)
+        assert r32 is T._resize_matrix(5, 9, np.dtype(np.float32)) and r32 is not r64
+        assert not r32.flags.writeable and not r64.flags.writeable
+        assert np.array_equal(r32, r64.astype(np.float32))
+
+
+class TestFloat32Learning:
+    # Largest per-epoch loss gap between float32 and float64 training over 12
+    # epochs at lr0=0.003, measured on seeds 0-3: 0.0020, 0.0141, 0.0039,
+    # 0.0035. The bound is about twice the largest.
+    MAX_LOSS_GAP = 0.03
+
+    def test_float32_loss_curve_tracks_float64(self, monkeypatch):
+        build = SceneModel.build.__func__
+
+        def float64_build(cls, config, registry=None, prefix="", with_head=True):
+            registry = registry if registry is not None else T.ParamRegistry(np.float64)
+            return build(cls, config, registry, prefix, with_head)
+
+        for seed in (0, 1):
+            config = ModelConfig.tiny(seed=seed, epochs=12, lr_decay_every=12, lr0=0.003)
+            dataset = synth_splits("audio", 4, 96, 0, seed)
+            model32, f32 = train(config, dataset)
+            with monkeypatch.context() as patch:
+                patch.setattr(SceneModel, "build", classmethod(float64_build))
+                model64, f64 = train(config, dataset)
+            assert model32.registry.dtype == np.float32
+            assert model64.registry.dtype == np.float64
+            assert f32.losses[-1] < f32.losses[0]  # it learned something
+            gap = max(abs(a - b) for a, b in zip(f32.losses, f64.losses))
+            assert gap < self.MAX_LOSS_GAP, (seed, gap)
+
+
 class TestConfigText:
     @pytest.mark.parametrize(
         "config",
@@ -91,16 +178,26 @@ class TestConfigText:
 
 class TestCheckpoint:
     @staticmethod
-    def randomized_model():
-        model = SceneModel.build(ModelConfig.tiny(seed=3))
+    def randomized_model(registry=None):
+        model = SceneModel.build(ModelConfig.tiny(seed=3), registry=registry)
         rng = np.random.default_rng(3)
         # Built heads and shifts are zero, which f32 stores exactly.
         for _, p in model.registry.items():
             p.data[...] = rng.standard_normal(p.data.shape)
         return model
 
-    def test_round_trip_within_f32_rounding(self, tmp_path):
+    def test_float32_round_trip_is_bit_exact(self, tmp_path):
         model = self.randomized_model()
+        save_checkpoint(model, tmp_path)
+        loaded = load_checkpoint(tmp_path)
+        assert loaded.registry.names() == model.registry.names()
+        for name, p in model.registry.items():
+            got = loaded.registry[name].data
+            assert got.dtype == p.data.dtype == np.float32, name
+            assert np.array_equal(got.view(np.uint32), p.data.view(np.uint32)), name
+
+    def test_round_trip_within_f32_rounding(self, tmp_path):
+        model = self.randomized_model(T.ParamRegistry(np.float64))
         save_checkpoint(model, tmp_path)
         loaded = load_checkpoint(tmp_path)
         assert loaded.config == model.config

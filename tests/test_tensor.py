@@ -402,8 +402,8 @@ class TestBilinearMatrixForm:
         assert np.max(np.abs(got - four_corner_resize(a, 7, 2))) < 1e-12
 
     def test_cached_matrix_is_read_only(self):
-        r = T._resize_matrix(3, 5)
-        assert r is T._resize_matrix(3, 5)
+        r = T._resize_matrix(3, 5, np.dtype(np.float64))
+        assert r is T._resize_matrix(3, 5, np.dtype(np.float64))
         with pytest.raises(ValueError):
             r[0, 0] = 2.0
 
@@ -684,3 +684,70 @@ class TestParamRegistry:
         reg.register("a", np.zeros((2, 3)))
         reg.register("b", np.zeros(5))
         assert reg.num_scalars() == 11
+
+    def test_casts_arrays_to_its_dtype(self):
+        reg = T.ParamRegistry(np.float32)
+        assert reg.dtype == np.float32
+        w = reg.register("w", np.arange(3.0))
+        assert w.data.dtype == np.float32 and w.requires_grad
+        assert T.ParamRegistry().dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32", None])
+    def test_rejects_other_dtypes(self, dtype):
+        with pytest.raises(ConfigurationError, match="dtype"):
+            T.ParamRegistry(dtype)
+
+    def test_rejects_tensor_of_another_dtype(self):
+        reg = T.ParamRegistry(np.float32)
+        with pytest.raises(ConfigurationError, match="stem.weight"):
+            reg.register("stem.weight", T.Tensor(np.zeros(3)))
+        assert "stem.weight" not in reg
+        kept = T.Tensor(np.zeros(3, dtype=np.float32))
+        assert reg.register("stem.weight", kept) is kept
+
+
+class TestDtypes:
+    def test_tensor_keeps_float32_and_float64_only(self):
+        for dtype in (np.float32, np.float64):
+            a = np.zeros(2, dtype=dtype)
+            assert T.Tensor(a).data is a
+        for value in (np.zeros(2, dtype=np.float16), np.arange(2), [1, 2], 3.0):
+            assert T.Tensor(value).data.dtype == np.float64
+
+    def test_cast_passes_the_gradient_back_in_the_source_dtype(self):
+        x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        assert T.cast(x, np.dtype(np.float64)) is x
+        y = T.cast(x, np.dtype(np.float32))
+        assert y.data.dtype == np.float32
+        T.total_sum(T.mul(y, y)).backward()
+        assert x.grad.dtype == np.float64
+        assert np.array_equal(x.grad, [2.0, -4.0, 6.0])
+
+    def test_loss_reduces_in_float64(self):
+        rng = np.random.default_rng(21)
+        z64 = rng.standard_normal((4, 5)) * 10
+        z32 = z64.astype(np.float32)
+        labels = [0, 4, 2, 1]
+        logits = T.Tensor(z32, requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, labels)
+        assert loss.data.dtype == np.float64
+        ref = T.Tensor(z32.astype(np.float64), requires_grad=True)
+        want = T.softmax_cross_entropy(ref, labels)
+        assert loss.item() == want.item()
+        loss.backward()
+        want.backward()
+        assert logits.grad.dtype == np.float32
+        assert np.array_equal(logits.grad, ref.grad.astype(np.float32))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_backward_stays_float32(self, padding):
+        rng = np.random.default_rng(22)
+        x = T.Tensor(rng.standard_normal((2, 3, 6, 5)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, stride=2, padding=padding)
+        assert out.data.dtype == np.float32
+        T.total_sum(out).backward()
+        assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+        # _accumulate would cast a float64 input gradient back; check col2im itself.
+        dcols = np.ones((1, 2 * 3 * 3, 4), dtype=np.float32)
+        assert T._col2im(dcols, (1, 2, 4, 4), 3, 3, 1, 2, 2).dtype == np.float32
