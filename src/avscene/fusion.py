@@ -1,9 +1,10 @@
 """Gated fusion of the two deepest backbone maps into one refined map.
 
 The deeper map is upsampled to the shallower map's grid and projected to its
-channel count; a per-channel sigmoid gate, computed from globally pooled
-statistics of both maps, convexly blends them. Saturating the gate recovers
-the shallow map exactly, which makes the module easy to test.
+channel count by a 1x1 convolution; a per-sample, per-channel sigmoid gate,
+computed from globally pooled statistics of both maps, convexly blends them.
+Saturating the gate recovers the shallow map exactly, which makes the module
+easy to test.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from .tensor import (
     Tensor,
     add,
     bilinear_upsample,
-    channel_bias_add,
     channel_scale,
     concat,
-    conv1x1,
+    conv2d,
     global_avg_pool,
+    linear,
     reshape,
     scalar_affine,
     sigmoid,
@@ -63,12 +64,15 @@ class AttentionFusion:
                 f"deep map {h5}x{w5} is not the ceil-half of {h4}x{w4}"
             )
         up = bilinear_upsample(f_m5, h4, w4)
-        proj = conv1x1(reshape(up, (n, c5, h4 * w4)), self.proj_weight)
-        proj = reshape(channel_bias_add(proj, self.proj_bias), (n, c4, h4, w4))
+        proj_kernel = reshape(self.proj_weight, (c4, c5, 1, 1))
+        proj = conv2d(up, proj_kernel, self.proj_bias)
 
         pooled = global_avg_pool(concat([f_m4, proj], axis=1))
-        gate = conv1x1(reshape(pooled, (n, 2 * c4, 1)), self.gate_weight)
-        gate = sigmoid(reshape(channel_bias_add(gate, self.gate_bias), (n, c4)))
+        # Rank 3, [N,1,2*c4]: numpy then multiplies one sample at a time, so
+        # each sample's gate is the same bits in any batch. A rank-2 [N,2*c4]
+        # product is one GEMM whose rounding depends on N.
+        gate = linear(reshape(pooled, (n, 1, 2 * c4)), self.gate_weight, self.gate_bias)
+        gate = sigmoid(reshape(gate, (n, c4)))
 
         blended = add(
             channel_scale(f_m4, gate),

@@ -2,9 +2,10 @@
 
 The adjacency is normalized as (D+I)^{-1/2} (A+I) (D+I)^{-1/2} with D the
 weighted degree (row sums of A), which bounds every eigenvalue in [-1, 1].
-One 1x1-convolution filter bank per graph maps node features to a lower
-channel count, followed by ReLU; the readout flattens and concatenates the
-salient and contextual node features.
+One layer per graph, relu(L_norm X Theta^T), mixes each node's features
+with its neighbours' and maps them to a lower channel count with a shared
+weight Theta; the readout flattens and concatenates the salient and
+contextual node features.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .tensor import (
-    Tensor,
-    batched_matrix_apply,
-    concat,
-    conv1x1,
-    relu,
-    reshape,
-    transpose_last2,
-)
+from .tensor import Tensor, batched_matrix_apply, concat, linear, relu, reshape
 
 
 def _validate_adjacency(adj: np.ndarray) -> None:
@@ -45,11 +38,10 @@ def propagation_matrix(adj: np.ndarray) -> np.ndarray:
 def gcn_layer(x: Tensor, l_norm: np.ndarray, theta: Tensor) -> Tensor:
     """One propagation step: relu(L_norm @ X @ theta^T) per batch item.
 
-    x is [N,K,C_in], l_norm the [K,K] propagation matrix and theta a
-    [C_out,C_in] filter bank.
+    x is [N,K,C_in], l_norm the [K,K] propagation matrix and theta the
+    [C_out,C_in] weight that ``linear`` applies to every node.
     """
-    mixed = batched_matrix_apply(l_norm, x)
-    return relu(transpose_last2(conv1x1(transpose_last2(mixed), theta)))
+    return relu(linear(batched_matrix_apply(l_norm, x), theta))
 
 
 def graph_readout(y_salient: Tensor, y_contextual: Tensor) -> Tensor:

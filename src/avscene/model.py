@@ -47,7 +47,6 @@ from .tensor import (
     write_agt1,
 )
 
-K_NODE_CHOICES = (8, 12, 16, 20, 24)
 MODALITIES = ("audio", "visual")
 
 
@@ -58,7 +57,6 @@ class ModelConfig:
     modality: str = "audio"
     k_nodes: int = 20
     gcn_out_channels: int = 256
-    gcn_layers: int = 1
     lr0: float = 0.01
     momentum: float = 0.9
     lr_decay_factor: float = 10.0
@@ -66,7 +64,6 @@ class ModelConfig:
     epochs: int = 60
     batch_size: int = 8
     seed: int = 0
-    allow_any_k: bool = False
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -74,14 +71,13 @@ class ModelConfig:
         if self.num_classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.num_classes}")
         if self.k_nodes % 4 or self.k_nodes < 4:
-            raise ConfigurationError(f"k_nodes must be a positive multiple of 4")
-        if not self.allow_any_k and self.k_nodes not in K_NODE_CHOICES:
             raise ConfigurationError(
-                f"k_nodes {self.k_nodes} outside the standard sweep {K_NODE_CHOICES}; "
-                "set allow_any_k to override"
+                f"k_nodes must be a positive multiple of 4, got {self.k_nodes}"
             )
-        if self.gcn_out_channels < 1 or self.gcn_layers < 1:
-            raise ConfigurationError("gcn_out_channels and gcn_layers must be positive")
+        if self.gcn_out_channels < 1:
+            raise ConfigurationError(
+                f"gcn_out_channels must be positive, got {self.gcn_out_channels}"
+            )
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.lr0 <= 0 or self.lr_decay_factor <= 0 or self.lr_decay_every < 1:
@@ -121,12 +117,7 @@ class ModelConfig:
         )
 
 
-def lr_schedule(
-    epoch: int,
-    lr0: float = 0.01,
-    decay_factor: float = 10.0,
-    decay_every: int = 20,
-) -> float:
+def lr_schedule(epoch: int, lr0: float, decay_factor: float, decay_every: int) -> float:
     """Step schedule: lr0 / decay_factor^(epoch // decay_every)."""
     if epoch < 0:
         raise ConfigurationError(f"epoch must be non-negative, got {epoch}")
@@ -168,20 +159,13 @@ class SceneModel:
         )
         model.fusion = AttentionFusion(registry, c4, c5, rng, prefix=f"{prefix}afm")
         for branch in ("sag", "cag"):
-            layers = []
-            c_in = c4
-            for depth in range(config.gcn_layers):
-                suffix = "" if depth == 0 else str(depth + 1)
-                # Node features are top-intensity cells, several times the
-                # typical activation scale; a plain fan-in init makes the
-                # first SGD steps large enough to kill the ReLU backbone.
-                theta = registry.register(
-                    f"{prefix}gcn.{branch}.theta{suffix}",
-                    he_uniform(rng, (config.gcn_out_channels, c_in), c_in) * 0.25,
-                )
-                layers.append(theta)
-                c_in = config.gcn_out_channels
-            model.thetas[branch] = layers
+            # Node features are top-intensity cells, several times the
+            # typical activation scale; a plain fan-in init makes the first
+            # SGD steps large enough to kill the ReLU backbone.
+            model.thetas[branch] = registry.register(
+                f"{prefix}gcn.{branch}.theta",
+                he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
+            )
         if with_head:
             # Zero head: logits start at 0, so the first updates are gentle
             # regardless of the graph features' scale.
@@ -218,14 +202,15 @@ class SceneModel:
                 f_i = slice_batch(f_ffr, i)
                 salient, contextual = build_scene_graphs(f_i, cfg.k_nodes)
                 all_graphs.append((salient, contextual))
-                outputs = {}
-                for branch, graph in (("sag", salient), ("cag", contextual)):
-                    l_norm = propagation_matrix(graph.adjacency)
-                    y = graph.node_features
-                    for theta in self.thetas[branch]:
-                        y = gcn_layer(y, l_norm, theta)
-                    outputs[branch] = y
-                per_sample.append(graph_readout(outputs["sag"], outputs["cag"]))
+                outputs = [
+                    gcn_layer(
+                        graph.node_features,
+                        propagation_matrix(graph.adjacency),
+                        self.thetas[branch],
+                    )
+                    for branch, graph in (("sag", salient), ("cag", contextual))
+                ]
+                per_sample.append(graph_readout(*outputs))
             rows = per_sample[0] if n == 1 else concat(per_sample, axis=0)
         return concat([rows, pyramid.embedding], axis=1), all_graphs
 
@@ -432,6 +417,16 @@ class EvalResult:
     confusion: np.ndarray
 
 
+def _check_labels(examples, num_classes: int, split: str) -> None:
+    """Raise DataError naming the split and index of the first bad label."""
+    for i, example in enumerate(examples):
+        if not 0 <= example.label < num_classes:
+            raise DataError(
+                f"{split} example {i}: label {example.label} "
+                f"out of range [0, {num_classes})"
+            )
+
+
 def evaluate(
     model: SceneModel,
     examples,
@@ -442,6 +437,7 @@ def evaluate(
     if not examples:
         raise DataError("cannot evaluate an empty dataset")
     classes = model.config.num_classes
+    _check_labels(examples, classes, "evaluation")
     confusion = np.zeros((classes, classes), dtype=np.int64)
     with no_grad():
         for start in range(0, len(examples), batch_size):
@@ -450,8 +446,6 @@ def evaluate(
             logits = model.forward(x, disable_graph=disable_graph)
             preds = np.argmax(softmax_probs(logits), axis=1)
             for example, pred in zip(batch, preds):
-                if not 0 <= example.label < classes:
-                    raise DataError(f"label {example.label} out of range [0, {classes})")
                 confusion[example.label, pred] += 1
     accuracy = float(np.trace(confusion)) / len(examples)
     return EvalResult(accuracy=accuracy, confusion=confusion)
@@ -471,11 +465,8 @@ def train(
     """
     if not dataset.train:
         raise DataError("cannot train on an empty dataset")
-    for example in dataset.train:
-        if not 0 <= example.label < config.num_classes:
-            raise DataError(
-                f"label {example.label} out of range [0, {config.num_classes})"
-            )
+    _check_labels(dataset.train, config.num_classes, "train")
+    _check_labels(dataset.test, config.num_classes, "test")
     model = SceneModel.build(config)
     optimizer = SGD(model.registry, momentum=config.momentum)
     shuffle_rng = np.random.default_rng(config.seed + 0x5EED)
@@ -593,9 +584,7 @@ def config_to_flat(config: ModelConfig) -> dict:
         "model.num_classes": str(config.num_classes),
         "model.k_nodes": str(config.k_nodes),
         "model.gcn_out_channels": str(config.gcn_out_channels),
-        "model.gcn_layers": str(config.gcn_layers),
         "model.seed": str(config.seed),
-        "model.allow_any_k": str(int(config.allow_any_k)),
         "backbone.in_channels": str(config.backbone.in_channels),
         "backbone.stage_channels": ",".join(map(str, config.backbone.stage_channels)),
         "backbone.blocks_per_stage": ",".join(map(str, config.backbone.blocks_per_stage)),
@@ -629,7 +618,6 @@ def config_from_flat(flat: dict) -> ModelConfig:
         modality=get("model.modality", "audio"),
         k_nodes=int(get("model.k_nodes", "20")),
         gcn_out_channels=int(get("model.gcn_out_channels", "256")),
-        gcn_layers=int(get("model.gcn_layers", "1")),
         lr0=float(get("train.lr0", "0.01")),
         momentum=float(get("train.momentum", "0.9")),
         lr_decay_factor=float(get("train.lr_decay_factor", "10")),
@@ -637,7 +625,6 @@ def config_from_flat(flat: dict) -> ModelConfig:
         epochs=int(get("train.epochs", "60")),
         batch_size=int(get("train.batch_size", "8")),
         seed=int(get("model.seed", "0")),
-        allow_any_k=bool(int(get("model.allow_any_k", "0"))),
     )
 
 

@@ -86,9 +86,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode pass from a single-element tensor; consumes the graph.
 
@@ -266,18 +263,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def transpose_last2(x: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-3 tensor."""
-    if x.data.ndim != 3:
-        raise ConfigurationError(f"transpose_last2: need rank 3, got {x.data.ndim}")
-    out = Tensor(x.data.transpose(0, 2, 1))
-
-    def bwd(g):
-        _accumulate(x, g.transpose(0, 2, 1))
-
-    return _record(out, (x,), bwd)
-
-
 def concat(tensors, axis: int) -> Tensor:
     parts = list(tensors)
     out = Tensor(np.concatenate([t.data for t in parts], axis=axis))
@@ -311,31 +296,18 @@ def slice_batch(x: Tensor, i: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ConfigurationError("matmul: both operands must be rank 2")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ConfigurationError(
-            f"matmul: inner dims {a.data.shape[1]} != {b.data.shape[0]}"
-        )
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map of row vectors: x[N,F] @ w[L,F]^T + b[L]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+    """Affine map of the last axis: x[..., F] @ w[L,F]^T + b[L], for rank >= 2.
+
+    Above rank 2, numpy multiplies one trailing [.., F] matrix at a time, so
+    each leading item's output does not depend on the batch it sits in.
+    """
+    xn = x.data
+    if xn.ndim < 2 or w.data.ndim != 2 or xn.shape[-1] != w.data.shape[1]:
         raise ConfigurationError(
-            f"linear: x {x.data.shape} incompatible with w {w.data.shape}"
+            f"linear: x {xn.shape} incompatible with w {w.data.shape}"
         )
-    y = x.data @ w.data.T
+    y = xn @ w.data.T
     if b is not None:
         y = y + b.data
     out = Tensor(y)
@@ -343,10 +315,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data)
+        g2 = g.reshape(-1, g.shape[-1])
         if w.requires_grad:
-            _accumulate(w, g.T @ x.data)
+            _accumulate(w, g2.T @ xn.reshape(-1, xn.shape[-1]))
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
     return _record(out, parents, bwd)
@@ -484,45 +457,6 @@ def conv2d(
 
     parents = (x, w) + tuple(t for t in (scale, bias) if t is not None)
     return _record(out, parents, bwd)
-
-
-def conv1x1(x: Tensor, w: Tensor) -> Tensor:
-    """Per-position linear map over the channel axis: x[N,Cin,K], w[Cout,Cin]."""
-    if x.data.ndim != 3 or w.data.ndim != 2:
-        raise ConfigurationError(
-            f"conv1x1: need x rank 3 and w rank 2, got {x.data.ndim}/{w.data.ndim}"
-        )
-    if w.data.shape[1] != x.data.shape[1]:
-        raise ConfigurationError(
-            f"conv1x1: weight expects {w.data.shape[1]} channels, input has {x.data.shape[1]}"
-        )
-    out = Tensor(np.matmul(w.data, x.data))
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, np.matmul(w.data.T, g))
-        if w.requires_grad:
-            _accumulate(w, np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0))
-
-    return _record(out, (x, w), bwd)
-
-
-def channel_bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias b[C] to x[N,C,...] (the one permitted broadcast)."""
-    c = x.data.shape[1]
-    if b.data.shape != (c,):
-        raise ConfigurationError(f"channel_bias_add: bias {b.data.shape} != ({c},)")
-    shape = (1, c) + (1,) * (x.data.ndim - 2)
-    out = Tensor(x.data + b.data.reshape(shape))
-    axes = (0,) + tuple(range(2, x.data.ndim))
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=axes))
-
-    return _record(out, (x, b), bwd)
 
 
 def channel_scale(x: Tensor, s: Tensor) -> Tensor:

@@ -66,14 +66,28 @@ class TestBehavior:
             out = fusion.forward(f4, f5)
             # Recompute the projected map to bound the blend.
             up = T.bilinear_upsample(f5, 6, 4)
-            proj = T.conv1x1(T.reshape(up, (2, 8, 24)), fusion.proj_weight)
-            proj = T.reshape(
-                T.channel_bias_add(proj, fusion.proj_bias), (2, 4, 6, 4)
-            )
+            kernel = T.reshape(fusion.proj_weight, (4, 8, 1, 1))
+            proj = T.conv2d(up, kernel, fusion.proj_bias)
         lo = np.minimum(f4.data, proj.data)
         hi = np.maximum(f4.data, proj.data)
         assert np.all(out.data >= lo - 1e-12)
         assert np.all(out.data <= hi + 1e-12)
+
+    def test_each_sample_matches_its_one_sample_forward(self):
+        # float32, where a gate product whose rounding depends on the batch
+        # size would change the bits of a sample's output.
+        registry = T.ParamRegistry(np.float32)
+        fusion = AttentionFusion(registry, 16, 32, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        fusion.gate_bias.data[:] = rng.uniform(-1.0, 1.0, 16)
+        fusion.proj_bias.data[:] = rng.uniform(-1.0, 1.0, 16)
+        f4 = rng.standard_normal((4, 16, 6, 4)).astype(np.float32)
+        f5 = rng.standard_normal((4, 32, 3, 2)).astype(np.float32)
+        with T.no_grad():
+            batched = fusion.forward(T.Tensor(f4), T.Tensor(f5)).data
+            for i in range(4):
+                one = fusion.forward(T.Tensor(f4[i : i + 1]), T.Tensor(f5[i : i + 1]))
+                assert np.array_equal(batched[i : i + 1], one.data), i
 
     def test_gradients_pass_finite_difference(self):
         registry, fusion = make_fusion(4, 8, seed=5)

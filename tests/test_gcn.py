@@ -117,6 +117,17 @@ class TestGcnLayer:
         assert report.max_relative_error < 1e-5, report.per_param
 
 
+    def test_layer_is_three_tape_nodes(self):
+        # relu(linear(batched_matrix_apply(l_norm, x), theta)): no transposes.
+        x = T.Tensor(np.ones((1, 4, 3)), requires_grad=True)
+        out = gcn.gcn_layer(x, np.eye(4), T.Tensor(np.eye(3), requires_grad=True))
+        ops, node = 0, out
+        while node._parents:
+            ops += 1
+            node = node._parents[0]
+        assert ops == 3 and node is x
+
+
 class TestReadout:
     def test_flattened_width(self):
         # 2 * K * C: both graphs' node features side by side.

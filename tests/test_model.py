@@ -5,17 +5,21 @@ import pytest
 
 from avscene import tensor as T
 from avscene.backbone import BackboneConfig
-from avscene.errors import ConfigurationError, DataError
+from avscene.errors import ConfigurationError, DataError, NumericError
 from avscene.model import (
     SGD,
     JointSceneModel,
     ModelConfig,
     SceneModel,
     config_from_flat,
+    config_to_flat,
     config_to_text,
+    evaluate,
     load_checkpoint,
+    lr_schedule,
     parse_config_text,
     save_checkpoint,
+    synth_dataset,
     synth_splits,
     train,
 )
@@ -26,7 +30,6 @@ def micro_model(seed):
         backbone=BackboneConfig(1, [2, 4, 4, 4, 8], [1, 1, 1, 1], "basic"),
         num_classes=3,
         k_nodes=4,
-        allow_any_k=True,
         gcn_out_channels=2,
         seed=seed,
     )
@@ -174,6 +177,166 @@ class TestConfigText:
         text = "# header\nmodel.num_classes = 4\n\nmodel.k_nodes 8\n"
         with pytest.raises(ConfigurationError, match="line 4"):
             parse_config_text(text)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("k", [4, 28, 36])
+    def test_any_positive_multiple_of_4_nodes(self, k):
+        assert ModelConfig.tiny(k_nodes=k).k_nodes == k
+
+    @pytest.mark.parametrize("k", [0, 6, -4])
+    def test_other_node_counts_name_the_value(self, k):
+        with pytest.raises(ConfigurationError, match=f"got {k}"):
+            ModelConfig.tiny(k_nodes=k)
+
+    def test_one_theta_per_graph(self):
+        config = ModelConfig.tiny()
+        model = SceneModel.build(config)
+        names = [name for name in model.registry.names() if name.startswith("gcn.")]
+        assert names == ["gcn.sag.theta", "gcn.cag.theta"]
+        shape = (config.gcn_out_channels, config.backbone.stage_channels[3])
+        for branch in ("sag", "cag"):
+            assert model.thetas[branch] is model.registry[f"gcn.{branch}.theta"]
+            assert model.thetas[branch].shape == shape
+
+    def test_manifest_with_a_retired_key_still_loads(self):
+        # A manifest written before a field was removed keeps its key.
+        config = ModelConfig.tiny(k_nodes=12)
+        flat = config_to_flat(config)
+        flat["model.retired_field"] = "1"
+        assert config_from_flat(flat) == config
+
+
+class TestSGD:
+    @staticmethod
+    def registry():
+        reg = T.ParamRegistry()
+        reg.register("a", np.array([1.0, -2.0]))
+        reg.register("b", np.array([[0.5], [3.0]]))
+        return reg
+
+    def test_momentum_update_over_two_steps(self):
+        reg = self.registry()
+        optimizer = SGD(reg, momentum=0.9)
+        rng = np.random.default_rng(0)
+        want = {name: p.data.copy() for name, p in reg.items()}
+        velocity = {name: np.zeros_like(p.data) for name, p in reg.items()}
+        for lr in (0.1, 0.05):
+            for name, p in reg.items():
+                p.grad = rng.standard_normal(p.data.shape)
+                velocity[name] = 0.9 * velocity[name] + p.grad
+                want[name] = want[name] - lr * velocity[name]
+            optimizer.step(lr)
+        for name, p in reg.items():
+            assert np.array_equal(optimizer.velocity[name], velocity[name]), name
+            assert np.array_equal(p.data, want[name]), name
+
+    def test_missing_gradient_counts_as_zero(self):
+        reg = self.registry()
+        optimizer = SGD(reg)
+        reg["a"].grad = np.ones(2)
+        optimizer.step(0.5)
+        assert np.array_equal(reg["a"].data, [0.5, -2.5])
+        assert np.array_equal(reg["b"].data, [[0.5], [3.0]])
+
+    def test_non_finite_gradient_changes_nothing(self):
+        reg = self.registry()
+        optimizer = SGD(reg)
+        for p in reg.tensors():
+            p.grad = np.ones_like(p.data)
+        optimizer.step(0.1)  # non-zero velocities
+        before = {
+            name: (p.data.copy(), optimizer.velocity[name].copy())
+            for name, p in reg.items()
+        }
+        reg["a"].grad = np.array([1.0, 1.0])
+        reg["b"].grad = np.array([[np.nan], [1.0]])
+        with pytest.raises(NumericError, match="gradient for b;"):
+            optimizer.step(0.1)
+        for name, p in reg.items():
+            assert np.array_equal(p.data, before[name][0]), name
+            assert np.array_equal(optimizer.velocity[name], before[name][1]), name
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ConfigurationError, match="lr"):
+            SGD(self.registry()).step(lr)
+
+
+class TestLrSchedule:
+    def test_step_boundaries(self):
+        lrs = [lr_schedule(epoch, 0.5, 10.0, 3) for epoch in range(7)]
+        assert lrs == [0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.005]
+
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ConfigurationError, match="-1"):
+            lr_schedule(-1, 0.01, 10.0, 20)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestEvaluate:
+    @staticmethod
+    def seeded_model(examples):
+        registry = T.ParamRegistry(np.float64)
+        model = SceneModel.build(ModelConfig.tiny(seed=1), registry=registry)
+        w = np.random.default_rng(1).standard_normal(model.head_weight.shape)
+        model.head_weight.data[...] = w
+        # Centre the logits on these examples, so the predictions vary.
+        with T.no_grad():
+            feats, _ = model.features(T.Tensor(np.stack([e.x for e in examples])))
+        model.head_bias.data[...] = -w @ feats.data.mean(axis=0)
+        return model
+
+    def test_confusion_matches_a_hand_count(self):
+        examples = synth_dataset("audio", 4, 10, seed=2)
+        model = self.seeded_model(examples)
+        want = np.zeros((4, 4), dtype=np.int64)
+        with T.no_grad():
+            for e in examples:
+                pred = int(np.argmax(model.forward(T.Tensor(e.x[None])).data))
+                want[e.label, pred] += 1
+        result = evaluate(model, examples, batch_size=3)
+        assert (want.sum(axis=0) > 0).sum() >= 2  # not one class for all
+        assert np.array_equal(result.confusion, want)
+        assert result.accuracy == np.trace(want) / 10
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(DataError, match="empty"):
+            evaluate(self.seeded_model(synth_dataset("audio", 4, 2, seed=2)), [])
+
+    def test_bad_label_raises_before_any_forward(self, monkeypatch):
+        examples = synth_dataset("audio", 4, 8, seed=2)
+        model = self.seeded_model(examples)
+        examples[5].label = 4
+        forwards = count_calls(monkeypatch, SceneModel, "forward")
+        with pytest.raises(DataError, match="evaluation example 5: label 4"):
+            evaluate(model, examples, batch_size=2)
+        assert forwards == []
+
+
+class TestTrainLabels:
+    @pytest.mark.parametrize("split, index", [("train", 2), ("test", 3)])
+    def test_bad_label_raises_before_any_step(self, monkeypatch, split, index):
+        dataset = synth_splits("audio", 4, 16, 8, seed=0)
+        getattr(dataset, split)[index].label = -1
+        builds = count_calls(monkeypatch, SceneModel, "build")
+        forwards = count_calls(monkeypatch, SceneModel, "forward")
+        steps = count_calls(monkeypatch, SGD, "step")
+        with pytest.raises(DataError, match=f"{split} example {index}: label -1"):
+            train(ModelConfig.tiny(epochs=1), dataset)
+        assert builds == forwards == steps == []
 
 
 class TestCheckpoint:
