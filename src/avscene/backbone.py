@@ -23,6 +23,8 @@ STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5; the stem is always stride 2
 
 @dataclass
 class BackboneConfig:
+    """Stem and stage 2-5 widths, stage 2-5 depths; bottleneck widths divide by 4."""
+
     in_channels: int
     stage_channels: list[int]
     blocks_per_stage: list[int]
@@ -41,10 +43,6 @@ class BackboneConfig:
             raise ConfigurationError("channel counts must be positive")
         if any(b < 1 for b in self.blocks_per_stage):
             raise ConfigurationError("block counts must be positive")
-        if self.stage_channels[3] % 4 or self.stage_channels[4] % 4:
-            raise ConfigurationError(
-                "stage 4/5 channels must be divisible by 4 for the fusion projection"
-            )
         if self.block_type not in ("basic", "bottleneck"):
             raise ConfigurationError(f"unknown block type {self.block_type!r}")
         if self.block_type == "bottleneck" and any(

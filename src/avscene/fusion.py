@@ -68,11 +68,7 @@ class AttentionFusion:
         proj = conv2d(up, proj_kernel, self.proj_bias)
 
         pooled = global_avg_pool(concat([f_m4, proj], axis=1))
-        # Rank 3, [N,1,2*c4]: numpy then multiplies one sample at a time, so
-        # each sample's gate is the same bits in any batch. A rank-2 [N,2*c4]
-        # product is one GEMM whose rounding depends on N.
-        gate = linear(reshape(pooled, (n, 1, 2 * c4)), self.gate_weight, self.gate_bias)
-        gate = sigmoid(reshape(gate, (n, c4)))
+        gate = sigmoid(linear(pooled, self.gate_weight, self.gate_bias))
 
         blended = add(
             channel_scale(f_m4, gate),

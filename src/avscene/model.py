@@ -18,7 +18,7 @@ and exact reference tests use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -190,13 +190,13 @@ class SceneModel:
         """
         dtype = self.registry.dtype
         pyramid = self.backbone.forward(cast(x, dtype))
-        f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
         n = x.data.shape[0]
         cfg = self.config
         all_graphs = []
         if disable_graph:
             rows = Tensor(np.zeros((n, 2 * cfg.k_nodes * cfg.gcn_out_channels), dtype))
         else:
+            f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
             per_sample = []
             for i in range(n):
                 f_i = slice_batch(f_ffr, i)
@@ -578,67 +578,72 @@ class JointSceneModel:
 CONFIG_FILENAME = "config.txt"
 
 
+# The ModelConfig fields keyed ``train.<name>`` rather than ``model.<name>``.
+TRAIN_FIELDS = (
+    "lr0", "momentum", "lr_decay_factor", "lr_decay_every", "epochs", "batch_size"
+)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[int]": lambda text: [int(v) for v in text.split(",")],
+}
+
+
+def _keyed_fields(cls):
+    """(key, field) for each field of cls except ModelConfig.backbone."""
+    for f in fields(cls):
+        if cls is BackboneConfig:
+            yield f"backbone.{f.name}", f
+        elif f.name != "backbone":
+            yield f"{'train' if f.name in TRAIN_FIELDS else 'model'}.{f.name}", f
+
+
 def config_to_flat(config: ModelConfig) -> dict:
-    return {
-        "model.modality": config.modality,
-        "model.num_classes": str(config.num_classes),
-        "model.k_nodes": str(config.k_nodes),
-        "model.gcn_out_channels": str(config.gcn_out_channels),
-        "model.seed": str(config.seed),
-        "backbone.in_channels": str(config.backbone.in_channels),
-        "backbone.stage_channels": ",".join(map(str, config.backbone.stage_channels)),
-        "backbone.blocks_per_stage": ",".join(map(str, config.backbone.blocks_per_stage)),
-        "backbone.block_type": config.backbone.block_type,
-        "train.lr0": repr(config.lr0),
-        "train.momentum": repr(config.momentum),
-        "train.lr_decay_factor": repr(config.lr_decay_factor),
-        "train.lr_decay_every": str(config.lr_decay_every),
-        "train.epochs": str(config.epochs),
-        "train.batch_size": str(config.batch_size),
-    }
+    """Each field of ``config`` and its backbone as text, keyed by ``_keyed_fields``."""
+    flat = {}
+    for obj in (config, config.backbone):
+        for key, f in _keyed_fields(type(obj)):
+            v = getattr(obj, f.name)
+            flat[key] = ",".join(map(str, v)) if f.type == "list[int]" else str(v)
+    return flat
 
 
 def config_from_flat(flat: dict) -> ModelConfig:
-    def get(key, default=None):
-        if key in flat:
-            return flat[key]
-        if default is None:
-            raise ConfigurationError(f"missing config key {key}")
-        return default
+    """Inverse of ``config_to_flat``: each value is parsed by its field's type.
 
-    backbone = BackboneConfig(
-        in_channels=int(get("backbone.in_channels")),
-        stage_channels=[int(v) for v in get("backbone.stage_channels").split(",")],
-        blocks_per_stage=[int(v) for v in get("backbone.blocks_per_stage").split(",")],
-        block_type=get("backbone.block_type", "basic"),
-    )
-    return ModelConfig(
-        backbone=backbone,
-        num_classes=int(get("model.num_classes")),
-        modality=get("model.modality", "audio"),
-        k_nodes=int(get("model.k_nodes", "20")),
-        gcn_out_channels=int(get("model.gcn_out_channels", "256")),
-        lr0=float(get("train.lr0", "0.01")),
-        momentum=float(get("train.momentum", "0.9")),
-        lr_decay_factor=float(get("train.lr_decay_factor", "10")),
-        lr_decay_every=int(get("train.lr_decay_every", "20")),
-        epochs=int(get("train.epochs", "60")),
-        batch_size=int(get("train.batch_size", "8")),
-        seed=int(get("model.seed", "0")),
-    )
+    A missing key takes its field's dataclass default; unknown keys are ignored.
+    A missing key with no default, or a value that does not parse, raises
+    ConfigurationError naming the key.
+    """
+    def build(cls, **given):
+        for key, f in _keyed_fields(cls):
+            if key in flat:
+                try:
+                    given[f.name] = _PARSERS[f.type](flat[key])
+                except ValueError:
+                    bad = f"config key {key}: cannot parse {flat[key]!r} as {f.type}"
+                    raise ConfigurationError(bad) from None
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"missing config key {key}")
+        return cls(**given)
+
+    return build(ModelConfig, backbone=build(BackboneConfig))
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `key = value` lines; blank lines and #-comments are skipped."""
-    flat = {}
+    """`key = value` lines, each key once; blank lines and #-comments are skipped."""
+    flat, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected `key = value`")
-        key, value = stripped.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in flat:
+            raise ConfigurationError(f"line {lineno}: {key} repeats line {seen[key]}")
+        flat[key], seen[key] = value, lineno
     return flat
 
 
@@ -669,7 +674,10 @@ def load_checkpoint(directory) -> SceneModel:
     manifest = directory / CONFIG_FILENAME
     if not manifest.is_file():
         raise DataError(f"{directory}: missing {CONFIG_FILENAME}")
-    config = config_from_flat(parse_config_text(manifest.read_text(encoding="utf-8")))
+    try:
+        config = config_from_flat(parse_config_text(manifest.read_text("utf-8")))
+    except (ConfigurationError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{manifest}: {exc}") from exc
     model = SceneModel.build(config)
     for name, p in model.registry.items():
         path = directory / f"{name}.agt1"

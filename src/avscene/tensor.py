@@ -299,15 +299,15 @@ def slice_batch(x: Tensor, i: int) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map of the last axis: x[..., F] @ w[L,F]^T + b[L], for rank >= 2.
 
-    Above rank 2, numpy multiplies one trailing [.., F] matrix at a time, so
-    each leading item's output does not depend on the batch it sits in.
+    Each leading item, and each row of a rank-2 x (as x[:, None, :]), is its
+    own matrix product, so its output does not depend on the batch around it.
     """
     xn = x.data
     if xn.ndim < 2 or w.data.ndim != 2 or xn.shape[-1] != w.data.shape[1]:
         raise ConfigurationError(
             f"linear: x {xn.shape} incompatible with w {w.data.shape}"
         )
-    y = xn @ w.data.T
+    y = (xn[:, None, :] @ w.data.T)[:, 0] if xn.ndim == 2 else xn @ w.data.T
     if b is not None:
         y = y + b.data
     out = Tensor(y)
@@ -412,11 +412,7 @@ def conv2d(
         xp[:, :, padding : padding + h, padding : padding + wd] = xn
     else:
         xp = xn
-    if kh == 1 and kw == 1:
-        strided = xp[:, :, ::stride, ::stride]
-        cols = strided.reshape(n, c, ho * wo)
-    else:
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
     w2 = wn.reshape(o, -1)
     y = np.matmul(w2, cols)  # fresh [N,O,ho*wo]: the in-place steps below own it
     if scale is not None:

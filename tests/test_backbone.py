@@ -46,7 +46,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BackboneConfig(1, [4, 8, 8], [1, 1, 1, 1])
         with pytest.raises(ConfigurationError):
-            BackboneConfig(1, [4, 8, 8, 15, 32], [1, 1, 1, 1])
+            BackboneConfig(1, [4, 8, 8, 0, 32], [1, 1, 1, 1])
+        with pytest.raises(ConfigurationError, match="bottleneck"):
+            BackboneConfig(1, [4, 8, 8, 15, 32], [1, 1, 1, 1], "bottleneck")
 
     def test_named_presets(self):
         tiny = BackboneConfig.tiny()

@@ -1,11 +1,15 @@
 """Whole-model checks: gradients, config text, checkpoints and determinism."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from avscene import tensor as T
 from avscene.backbone import BackboneConfig
 from avscene.errors import ConfigurationError, DataError, NumericError
+from avscene.fusion import AttentionFusion
 from avscene.model import (
     SGD,
     JointSceneModel,
@@ -164,18 +168,105 @@ class TestFloat32Learning:
             assert gap < self.MAX_LOSS_GAP, (seed, gap)
 
 
+# config_to_text(ModelConfig.tiny()) as the hand-written text functions wrote
+# it, before the keys were derived from the dataclass fields.
+TINY_TEXT = """\
+model.modality = audio
+model.num_classes = 4
+model.k_nodes = 8
+model.gcn_out_channels = 8
+model.seed = 0
+backbone.in_channels = 1
+backbone.stage_channels = 4,8,8,16,32
+backbone.blocks_per_stage = 1,1,1,1
+backbone.block_type = basic
+train.lr0 = 0.01
+train.momentum = 0.9
+train.lr_decay_factor = 10.0
+train.lr_decay_every = 20
+train.epochs = 60
+train.batch_size = 8
+"""
+
+# The keys of the fields without a default.
+REQUIRED = {
+    "model.num_classes": "4",
+    "backbone.in_channels": "1",
+    "backbone.stage_channels": "4,8,8,16,32",
+    "backbone.blocks_per_stage": "1,1,1,1",
+}
+
+OFF_DEFAULT = ModelConfig(
+    backbone=BackboneConfig(3, [4, 8, 12, 20, 36], [2, 1, 3, 1], "bottleneck"),
+    num_classes=5,
+    modality="visual",
+    k_nodes=12,
+    gcn_out_channels=6,
+    lr0=0.125,
+    momentum=0.75,
+    lr_decay_factor=3.5,
+    lr_decay_every=7,
+    epochs=9,
+    batch_size=5,
+    seed=11,
+)
+
+
 class TestConfigText:
     @pytest.mark.parametrize(
         "config",
-        [ModelConfig.tiny(), ModelConfig.full(8)],
-        ids=["tiny", "full"],
+        [ModelConfig.tiny(), ModelConfig.full(8), OFF_DEFAULT],
+        ids=["tiny", "full", "off_default"],
     )
     def test_round_trip(self, config):
         assert config_from_flat(parse_config_text(config_to_text(config))) == config
 
+    def test_off_default_case_sets_every_field_off_its_default(self):
+        for obj in (OFF_DEFAULT, OFF_DEFAULT.backbone):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) != f.default, f.name
+
+    def test_earlier_text_keeps_its_keys_and_loads(self):
+        assert config_to_flat(ModelConfig.tiny()) == parse_config_text(TINY_TEXT)
+        assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
+
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        backbone = BackboneConfig(1, [4, 8, 8, 16, 32], [1, 1, 1, 1])
+        assert config_from_flat(dict(REQUIRED)) == ModelConfig(backbone, num_classes=4)
+
+    @pytest.mark.parametrize("key", sorted(REQUIRED))
+    def test_missing_key_without_default_is_named(self, key):
+        flat = {k: v for k, v in REQUIRED.items() if k != key}
+        want = f"missing config key {re.escape(key)}$"
+        with pytest.raises(ConfigurationError, match=want):
+            config_from_flat(flat)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model.k_nodes", "8.0"),
+            ("train.lr0", "fast"),
+            ("backbone.stage_channels", "4,8,,16,32"),
+        ],
+        ids=["int", "float", "list"],
+    )
+    def test_unparsable_value_names_its_key(self, key, value):
+        flat = config_to_flat(ModelConfig.tiny())
+        flat[key] = value
+        want = re.escape(f"config key {key}: cannot parse {value!r}")
+        with pytest.raises(ConfigurationError, match=want):
+            config_from_flat(flat)
+
     def test_line_without_equals_names_its_line(self):
         text = "# header\nmodel.num_classes = 4\n\nmodel.k_nodes 8\n"
         with pytest.raises(ConfigurationError, match="line 4"):
+            parse_config_text(text)
+
+    def test_repeated_key_names_both_lines(self):
+        text = "model.k_nodes = 8\n# note\nmodel.num_classes = 4\nmodel.k_nodes = 12\n"
+        want = "line 4: model.k_nodes repeats line 1"
+        with pytest.raises(ConfigurationError, match=want):
             parse_config_text(text)
 
 
@@ -198,6 +289,26 @@ class TestModelConfig:
         for branch in ("sag", "cag"):
             assert model.thetas[branch] is model.registry[f"gcn.{branch}.theta"]
             assert model.thetas[branch].shape == shape
+
+    def test_stage_4_and_5_widths_need_not_divide_by_4(self):
+        config = ModelConfig(
+            backbone=BackboneConfig(1, [4, 8, 8, 6, 10], [1, 1, 1, 1], "basic"),
+            num_classes=3,
+            k_nodes=8,
+            gcn_out_channels=4,
+            seed=4,
+        )
+        model = SceneModel.build(config)
+        rng = np.random.default_rng(4)
+        # The built head is zero, which makes every gradient below it zero.
+        model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
+        before = {name: p.data.copy() for name, p in model.registry.items()}
+        x = T.Tensor(rng.standard_normal((2, 1, 64, 32)))
+        T.softmax_cross_entropy(model.forward(x), [0, 2]).backward()
+        SGD(model.registry).step(0.01)
+        for name, p in model.registry.items():
+            assert p.grad is not None and np.any(p.grad != 0.0), name
+            assert not np.array_equal(p.data, before[name]), name
 
     def test_manifest_with_a_retired_key_still_loads(self):
         # A manifest written before a field was removed keeps its key.
@@ -288,8 +399,8 @@ def count_calls(monkeypatch, owner, name):
 
 class TestEvaluate:
     @staticmethod
-    def seeded_model(examples):
-        registry = T.ParamRegistry(np.float64)
+    def seeded_model(examples, dtype=np.float64):
+        registry = T.ParamRegistry(dtype)
         model = SceneModel.build(ModelConfig.tiny(seed=1), registry=registry)
         w = np.random.default_rng(1).standard_normal(model.head_weight.shape)
         model.head_weight.data[...] = w
@@ -312,6 +423,24 @@ class TestEvaluate:
         assert np.array_equal(result.confusion, want)
         assert result.accuracy == np.trace(want) / 10
 
+    def test_batch_size_changes_no_logit_or_prediction(self):
+        # float32, where a head whose rounding depends on the batch would show.
+        examples = synth_dataset("audio", 4, 8, seed=2)
+        model = self.seeded_model(examples, np.float32)
+        x = np.stack([e.x for e in examples])
+        logits = {}
+        with T.no_grad():
+            for size in (1, 3, 8):
+                chunks = [x[s : s + size] for s in range(0, 8, size)]
+                rows = [model.forward(T.Tensor(c)).data for c in chunks]
+                logits[size] = np.concatenate(rows)
+        assert np.array_equal(logits[3], logits[1])
+        assert np.array_equal(logits[8], logits[1])
+        confusions = [evaluate(model, examples, size).confusion for size in (1, 3, 8)]
+        assert (confusions[0].sum(axis=0) > 0).sum() >= 2  # not one class for all
+        assert np.array_equal(confusions[1], confusions[0])
+        assert np.array_equal(confusions[2], confusions[0])
+
     def test_empty_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
             evaluate(self.seeded_model(synth_dataset("audio", 4, 2, seed=2)), [])
@@ -324,6 +453,23 @@ class TestEvaluate:
         with pytest.raises(DataError, match="evaluation example 5: label 4"):
             evaluate(model, examples, batch_size=2)
         assert forwards == []
+
+
+class TestDisableGraph:
+    def test_fusion_is_skipped_and_graph_rows_are_zero(self, monkeypatch):
+        model = SceneModel.build(ModelConfig.tiny(seed=2))
+        x = T.Tensor(np.random.default_rng(3).standard_normal((3, 1, 64, 32)))
+        fusions = count_calls(monkeypatch, AttentionFusion, "forward")
+        feats, graphs = model.features(x, disable_graph=True)
+        assert fusions == [] and graphs == []
+        with T.no_grad():
+            embedding = model.backbone.forward(T.cast(x, np.float32)).embedding.data
+        width = 2 * model.config.k_nodes * model.config.gcn_out_channels
+        assert feats.shape == (3, width + embedding.shape[1])
+        assert np.array_equal(feats.data[:, :width], np.zeros((3, width)))
+        assert np.array_equal(feats.data[:, width:], embedding)
+        model.features(x)
+        assert len(fusions) == 1
 
 
 class TestTrainLabels:
@@ -375,6 +521,25 @@ class TestCheckpoint:
         save_checkpoint(self.randomized_model(), tmp_path)
         (tmp_path / "head.bias.agt1").unlink()
         with pytest.raises(DataError, match="head.bias"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"model.k_nodes = 8.0\n",
+            b"model.k_nodes = 8\nmodel.k_nodes = 8\n",
+            b"model.k_nodes = 6\n",
+            b"model.k_nodes = \xff\n",
+        ],
+        ids=["unparsable", "repeated", "invalid", "not_utf8"],
+    )
+    def test_broken_manifest_names_the_file(self, tmp_path, line):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        manifest = tmp_path / "config.txt"
+        text = manifest.read_bytes()
+        assert b"model.k_nodes = 8\n" in text
+        manifest.write_bytes(text.replace(b"model.k_nodes = 8\n", line))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{manifest}: ")):
             load_checkpoint(tmp_path)
 
     def test_wrong_shape_names_it(self, tmp_path):

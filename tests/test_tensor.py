@@ -239,7 +239,7 @@ class TestConv2dBackward:
 
 
 class TestLinearRank3:
-    """linear on x[N,K,F], as the GCN layer and the AFM gate call it."""
+    """linear on x[N,K,F], as the GCN layer calls it; the batch test adds rank 2."""
 
     def test_identity_weight(self):
         rng = np.random.default_rng(0)
@@ -285,14 +285,16 @@ class TestLinearRank3:
 
     def test_each_item_is_independent_of_its_batch(self):
         # float32, where a product whose rounding depends on N would show.
+        # Rank 2 is the model head: one [N,F] GEMM would fail here.
         rng = np.random.default_rng(43)
-        x = rng.standard_normal((5, 1, 96)).astype(np.float32)
         w = T.Tensor(rng.standard_normal((48, 96)).astype(np.float32))
         b = T.Tensor(rng.standard_normal(48).astype(np.float32))
-        batched = T.linear(T.Tensor(x), w, b).data
-        for i in range(5):
-            single = T.linear(T.Tensor(x[i : i + 1]), w, b).data
-            assert np.array_equal(batched[i : i + 1], single), i
+        for shape in ((5, 1, 96), (5, 96)):
+            x = rng.standard_normal(shape).astype(np.float32)
+            batched = T.linear(T.Tensor(x), w, b).data
+            for i in range(5):
+                single = T.linear(T.Tensor(x[i : i + 1]), w, b).data
+                assert np.array_equal(batched[i : i + 1], single), (shape, i)
 
 
 class TestElementwiseAndPooling:
