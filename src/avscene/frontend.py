@@ -36,20 +36,12 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ConfigurationError(f"bad sample rate: {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class LogMelSpectrogram:
     """Log-compressed mel power spectrogram, values shaped [1, T, n_mels]."""
 
     values: Tensor
-    hop: int
-    window: int
-    n_mels: int
-    sample_rate: int
 
     @property
     def num_frames(self) -> int:
@@ -258,13 +250,7 @@ def extract_logmel(
     bank = mel_filterbank(n_mels, n_fft, clip.sample_rate)
     mel_power = power @ bank.T
     values = np.log(mel_power + LOG_FLOOR)[None, :, :]
-    return LogMelSpectrogram(
-        values=Tensor(values),
-        hop=hop,
-        window=window,
-        n_mels=n_mels,
-        sample_rate=clip.sample_rate,
-    )
+    return LogMelSpectrogram(values=Tensor(values))
 
 
 # ---------------------------------------------------------------------------

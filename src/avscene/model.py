@@ -2,9 +2,11 @@
 
 The classifier concatenates the flattened graph-convolution features of both
 scene graphs with the backbone's pooled embedding and applies a single
-affine layer. Graphs are built per sample, but their edge set is the
-constant ``edge_mask(k)`` of ``graphs.py``: only the selected node positions,
-and so the edge weights, vary from sample to sample. Training is plain SGD
+affine layer. With ``ModelConfig.disable_graph`` the model builds no fusion
+and no graph convolution, and the classifier input is the embedding alone.
+Graphs are built per sample, but their edge set is the constant
+``edge_mask(k)`` of ``graphs.py``: only the selected node positions, and so
+the edge weights, vary from sample to sample. Training is plain SGD
 with momentum and a step learning-rate schedule; everything is deterministic
 given the config seed.
 
@@ -64,6 +66,7 @@ class ModelConfig:
     epochs: int = 60
     batch_size: int = 8
     seed: int = 0
+    disable_graph: bool = False
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -78,10 +81,15 @@ class ModelConfig:
             raise ConfigurationError(
                 f"gcn_out_channels must be positive, got {self.gcn_out_channels}"
             )
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be positive")
-        if self.lr0 <= 0 or self.lr_decay_factor <= 0 or self.lr_decay_every < 1:
-            raise ConfigurationError("bad learning-rate schedule settings")
+        if self.epochs < 1 or self.batch_size < 1 or self.lr_decay_every < 1:
+            raise ConfigurationError(
+                "epochs, batch_size and lr_decay_every must be positive"
+            )
+        for name, value in (("lr0", self.lr0), ("lr_decay_factor", self.lr_decay_factor)):
+            if not 0 < value < np.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
     @classmethod
     def tiny(
@@ -157,15 +165,16 @@ class SceneModel:
         model.backbone = build_backbone(
             config.backbone, registry=registry, prefix=f"{prefix}backbone", rng=rng
         )
-        model.fusion = AttentionFusion(registry, c4, c5, rng, prefix=f"{prefix}afm")
-        for branch in ("sag", "cag"):
-            # Node features are top-intensity cells, several times the
-            # typical activation scale; a plain fan-in init makes the first
-            # SGD steps large enough to kill the ReLU backbone.
-            model.thetas[branch] = registry.register(
-                f"{prefix}gcn.{branch}.theta",
-                he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
-            )
+        if not config.disable_graph:
+            model.fusion = AttentionFusion(registry, c4, c5, rng, prefix=f"{prefix}afm")
+            for branch in ("sag", "cag"):
+                # Node features are top-intensity cells, several times the
+                # typical activation scale; a plain fan-in init makes the first
+                # SGD steps large enough to kill the ReLU backbone.
+                model.thetas[branch] = registry.register(
+                    f"{prefix}gcn.{branch}.theta",
+                    he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
+                )
         if with_head:
             # Zero head: logits start at 0, so the first updates are gentle
             # regardless of the graph features' scale.
@@ -181,41 +190,40 @@ class SceneModel:
     @property
     def feature_width(self) -> int:
         cfg = self.config
-        return 2 * cfg.k_nodes * cfg.gcn_out_channels + cfg.backbone.stage_channels[4]
+        c5 = cfg.backbone.stage_channels[4]
+        return c5 if cfg.disable_graph else 2 * cfg.k_nodes * cfg.gcn_out_channels + c5
 
-    def features(self, x: Tensor, disable_graph: bool = False):
-        """Classifier input [N, 2*K*C_gcn + C5]; also returns per-sample graphs.
+    def features(self, x: Tensor):
+        """Classifier input [N, feature_width]; also returns per-sample graphs.
 
-        x is cast to the registry's dtype first.
+        The input is [N, 2*K*C_gcn + C5], the graph readout next to the
+        backbone embedding, or, with ``disable_graph``, the [N, C5] embedding
+        alone and no graphs. x is cast to the registry's dtype first.
         """
-        dtype = self.registry.dtype
-        pyramid = self.backbone.forward(cast(x, dtype))
+        pyramid = self.backbone.forward(cast(x, self.registry.dtype))
+        if self.config.disable_graph:
+            return pyramid.embedding, []
         n = x.data.shape[0]
-        cfg = self.config
-        all_graphs = []
-        if disable_graph:
-            rows = Tensor(np.zeros((n, 2 * cfg.k_nodes * cfg.gcn_out_channels), dtype))
-        else:
-            f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
-            per_sample = []
-            for i in range(n):
-                f_i = slice_batch(f_ffr, i)
-                salient, contextual = build_scene_graphs(f_i, cfg.k_nodes)
-                all_graphs.append((salient, contextual))
-                outputs = [
-                    gcn_layer(
-                        graph.node_features,
-                        propagation_matrix(graph.adjacency),
-                        self.thetas[branch],
-                    )
-                    for branch, graph in (("sag", salient), ("cag", contextual))
-                ]
-                per_sample.append(graph_readout(*outputs))
-            rows = per_sample[0] if n == 1 else concat(per_sample, axis=0)
+        f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
+        all_graphs, per_sample = [], []
+        for i in range(n):
+            f_i = slice_batch(f_ffr, i)
+            salient, contextual = build_scene_graphs(f_i, self.config.k_nodes)
+            all_graphs.append((salient, contextual))
+            outputs = [
+                gcn_layer(
+                    graph.node_features,
+                    propagation_matrix(graph.adjacency),
+                    self.thetas[branch],
+                )
+                for branch, graph in (("sag", salient), ("cag", contextual))
+            ]
+            per_sample.append(graph_readout(*outputs))
+        rows = per_sample[0] if n == 1 else concat(per_sample, axis=0)
         return concat([rows, pyramid.embedding], axis=1), all_graphs
 
-    def forward(self, x: Tensor, disable_graph: bool = False) -> Tensor:
-        feats, _ = self.features(x, disable_graph)
+    def forward(self, x: Tensor) -> Tensor:
+        feats, _ = self.features(x)
         return linear(feats, self.head_weight, self.head_bias)
 
 
@@ -427,12 +435,7 @@ def _check_labels(examples, num_classes: int, split: str) -> None:
             )
 
 
-def evaluate(
-    model: SceneModel,
-    examples,
-    batch_size: int = 8,
-    disable_graph: bool = False,
-) -> EvalResult:
+def evaluate(model: SceneModel, examples, batch_size: int = 8) -> EvalResult:
     """Accuracy and confusion matrix; confusion[i][j] counts true i predicted j."""
     if not examples:
         raise DataError("cannot evaluate an empty dataset")
@@ -443,7 +446,7 @@ def evaluate(
         for start in range(0, len(examples), batch_size):
             batch = examples[start : start + batch_size]
             x = Tensor(np.stack([e.x for e in batch]))
-            logits = model.forward(x, disable_graph=disable_graph)
+            logits = model.forward(x)
             preds = np.argmax(softmax_probs(logits), axis=1)
             for example, pred in zip(batch, preds):
                 confusion[example.label, pred] += 1
@@ -451,17 +454,13 @@ def evaluate(
     return EvalResult(accuracy=accuracy, confusion=confusion)
 
 
-def train(
-    config: ModelConfig,
-    dataset: Dataset,
-    disable_graph: bool = False,
-    progress=None,
-):
+def train(config: ModelConfig, dataset: Dataset, progress=None):
     """Train a fresh model on dataset.train, tracking test accuracy per epoch.
 
-    Returns (model, TrainReport). Deterministic given config.seed: the
-    shuffle sequence, initialization, and batch composition are all derived
-    from it.
+    Returns (model, TrainReport). The report's confusion matrix is the last
+    epoch's on the test split, or on the train split when there is no test
+    split. Deterministic given config.seed: the shuffle sequence,
+    initialization, and batch composition are all derived from it.
     """
     if not dataset.train:
         raise DataError("cannot train on an empty dataset")
@@ -486,7 +485,7 @@ def train(
             # Zeroed before the forward: the last step's gradients would
             # otherwise sit in memory next to the new tape.
             model.registry.zero_grad()
-            logits = model.forward(x, disable_graph=disable_graph)
+            logits = model.forward(x)
             loss = softmax_cross_entropy(logits, labels)
             value = loss.item()
             if not np.isfinite(value):
@@ -497,39 +496,24 @@ def train(
             correct += int(
                 (np.argmax(softmax_probs(logits), axis=1) == labels).sum()
             )
-        test_accuracy = (
-            evaluate(model, dataset.test, config.batch_size, disable_graph).accuracy
-            if dataset.test
-            else 0.0
-        )
+        tested = evaluate(model, dataset.test, config.batch_size) if dataset.test else None
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
             loss=loss_sum / n_train,
             train_accuracy=correct / n_train,
-            test_accuracy=test_accuracy,
+            test_accuracy=tested.accuracy if tested else 0.0,
         )
         report.epochs.append(stats)
         if progress is not None:
             progress(stats)
-    final = evaluate(
-        model, dataset.test if dataset.test else dataset.train,
-        config.batch_size, disable_graph,
-    )
-    report.confusion = final.confusion
+    report.confusion = (tested or evaluate(model, dataset.train, config.batch_size)).confusion
     return model, report
 
 
 # ---------------------------------------------------------------------------
 # joint audio-visual late fusion
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PairedExample:
-    x_audio: np.ndarray
-    x_visual: np.ndarray
-    label: int
 
 
 class JointSceneModel:
@@ -582,7 +566,10 @@ CONFIG_FILENAME = "config.txt"
 TRAIN_FIELDS = (
     "lr0", "momentum", "lr_decay_factor", "lr_decay_every", "epochs", "batch_size"
 )
+# Keys of removed ModelConfig fields, which earlier manifests still carry.
+RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k")
 _PARSERS = {
+    "bool": lambda text: bool(("False", "True").index(text)),
     "int": int,
     "float": float,
     "str": str,
@@ -612,10 +599,15 @@ def config_to_flat(config: ModelConfig) -> dict:
 def config_from_flat(flat: dict) -> ModelConfig:
     """Inverse of ``config_to_flat``: each value is parsed by its field's type.
 
-    A missing key takes its field's dataclass default; unknown keys are ignored.
-    A missing key with no default, or a value that does not parse, raises
-    ConfigurationError naming the key.
+    A missing key takes its field's dataclass default, and ``RETIRED_KEYS``
+    are ignored. Any other unknown key, a missing key with no default, or a
+    value that does not parse raises ConfigurationError naming the key.
     """
+    known = {key for cls in (ModelConfig, BackboneConfig) for key, _ in _keyed_fields(cls)}
+    for key in flat:
+        if key not in known and key not in RETIRED_KEYS:
+            raise ConfigurationError(f"unknown config key {key}")
+
     def build(cls, **given):
         for key, f in _keyed_fields(cls):
             if key in flat:

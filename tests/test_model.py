@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from avscene import model as M
 from avscene import tensor as T
 from avscene.backbone import BackboneConfig
 from avscene.errors import ConfigurationError, DataError, NumericError
 from avscene.fusion import AttentionFusion
 from avscene.model import (
+    RETIRED_KEYS,
     SGD,
     JointSceneModel,
     ModelConfig,
@@ -99,15 +101,17 @@ def tape_nodes(root):
 class TestFloat32Policy:
     @pytest.mark.parametrize("disable_graph", [False, True], ids=["graphs", "no_graph"])
     def test_whole_tape_and_update_stay_float32(self, disable_graph):
-        model = SceneModel.build(ModelConfig.tiny(seed=2))
+        model = SceneModel.build(ModelConfig.tiny(seed=2, disable_graph=disable_graph))
         assert model.registry.dtype == np.float32
+        unused = [n for n in model.registry.names() if n.startswith(("afm.", "gcn."))]
+        assert bool(unused) == (not disable_graph), unused
         model.head_weight.data[...] = np.random.default_rng(2).standard_normal(
             model.head_weight.shape
         )
         optimizer = SGD(model.registry)
         # A float64 input, as train and evaluate pass it: cast at the boundary.
         x = T.Tensor(np.random.default_rng(3).standard_normal((2, 1, 64, 32)))
-        logits = model.forward(x, disable_graph=disable_graph)
+        logits = model.forward(x)
         nodes = tape_nodes(logits)
         assert len(nodes) > 40
         promoted = [n.shape for n in nodes if n.data.dtype != np.float32]
@@ -119,11 +123,7 @@ class TestFloat32Policy:
         for name, p in model.registry.items():
             assert p.data.dtype == np.float32, name
             assert optimizer.velocity[name].dtype == np.float32, name
-            if p.grad is None:
-                # Off the path without graphs: the fusion and the GCN.
-                assert disable_graph and name.startswith(("afm.", "gcn.")), name
-            else:
-                assert p.grad.dtype == np.float32, name
+            assert p.grad is not None and p.grad.dtype == np.float32, name
 
     def test_joint_model_is_float32(self):
         joint = JointSceneModel.build(
@@ -209,6 +209,7 @@ OFF_DEFAULT = ModelConfig(
     epochs=9,
     batch_size=5,
     seed=11,
+    disable_graph=True,
 )
 
 
@@ -228,7 +229,8 @@ class TestConfigText:
                     assert getattr(obj, f.name) != f.default, f.name
 
     def test_earlier_text_keeps_its_keys_and_loads(self):
-        assert config_to_flat(ModelConfig.tiny()) == parse_config_text(TINY_TEXT)
+        want = {**parse_config_text(TINY_TEXT), "model.disable_graph": "False"}
+        assert config_to_flat(ModelConfig.tiny()) == want
         assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
 
     def test_missing_keys_take_the_dataclass_defaults(self):
@@ -248,14 +250,24 @@ class TestConfigText:
             ("model.k_nodes", "8.0"),
             ("train.lr0", "fast"),
             ("backbone.stage_channels", "4,8,,16,32"),
+            ("model.disable_graph", "yes"),
+            ("model.disable_graph", "1"),
+            ("model.disable_graph", "true"),
+            ("model.disable_graph", ""),
         ],
-        ids=["int", "float", "list"],
+        ids=["int", "float", "list", "bool_yes", "bool_1", "bool_lower", "bool_empty"],
     )
     def test_unparsable_value_names_its_key(self, key, value):
         flat = config_to_flat(ModelConfig.tiny())
         flat[key] = value
         want = re.escape(f"config key {key}: cannot parse {value!r}")
         with pytest.raises(ConfigurationError, match=want):
+            config_from_flat(flat)
+
+    def test_misspelt_key_is_named(self):
+        flat = config_to_flat(ModelConfig.tiny(k_nodes=12))
+        flat["model.k_node"] = flat.pop("model.k_nodes")
+        with pytest.raises(ConfigurationError, match="unknown config key model.k_node$"):
             config_from_flat(flat)
 
     def test_line_without_equals_names_its_line(self):
@@ -311,11 +323,32 @@ class TestModelConfig:
             assert not np.array_equal(p.data, before[name]), name
 
     def test_manifest_with_a_retired_key_still_loads(self):
-        # A manifest written before a field was removed keeps its key.
+        # Manifests written before gcn_layers and allow_any_k were removed.
+        assert RETIRED_KEYS == ("model.gcn_layers", "model.allow_any_k")
         config = ModelConfig.tiny(k_nodes=12)
-        flat = config_to_flat(config)
-        flat["model.retired_field"] = "1"
-        assert config_from_flat(flat) == config
+        for key, value in zip(RETIRED_KEYS, ("1", "False")):
+            flat = config_to_flat(config)
+            flat[key] = value
+            assert config_from_flat(flat) == config, key
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr0", float("nan")),
+            ("lr0", float("inf")),
+            ("lr0", 0.0),
+            ("lr_decay_factor", float("inf")),
+            ("lr_decay_factor", float("nan")),
+            ("lr_decay_factor", -2.0),
+            ("momentum", float("nan")),
+            ("momentum", -5.0),
+            ("momentum", 1.5),
+            ("momentum", 1.0),
+        ],
+    )
+    def test_bad_training_value_names_the_field_and_value(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} .*got {value}$"):
+            ModelConfig.tiny(**{field: value})
 
 
 class TestSGD:
@@ -456,20 +489,38 @@ class TestEvaluate:
 
 
 class TestDisableGraph:
-    def test_fusion_is_skipped_and_graph_rows_are_zero(self, monkeypatch):
-        model = SceneModel.build(ModelConfig.tiny(seed=2))
+    def test_features_are_the_embedding_and_fusion_is_skipped(self, monkeypatch):
+        config = ModelConfig.tiny(seed=2)
+        model = SceneModel.build(dataclasses.replace(config, disable_graph=True))
         x = T.Tensor(np.random.default_rng(3).standard_normal((3, 1, 64, 32)))
         fusions = count_calls(monkeypatch, AttentionFusion, "forward")
-        feats, graphs = model.features(x, disable_graph=True)
+        feats, graphs = model.features(x)
         assert fusions == [] and graphs == []
         with T.no_grad():
             embedding = model.backbone.forward(T.cast(x, np.float32)).embedding.data
-        width = 2 * model.config.k_nodes * model.config.gcn_out_channels
-        assert feats.shape == (3, width + embedding.shape[1])
-        assert np.array_equal(feats.data[:, :width], np.zeros((3, width)))
-        assert np.array_equal(feats.data[:, width:], embedding)
-        model.features(x)
+        assert np.array_equal(feats.data, embedding)
+        c5 = config.backbone.stage_channels[4]
+        assert model.head_weight.shape == (config.num_classes, c5) == (4, 32)
+        SceneModel.build(config).features(x)
         assert len(fusions) == 1
+
+    def test_training_builds_no_graph(self, monkeypatch):
+        config = ModelConfig.tiny(seed=4, epochs=2, disable_graph=True)
+        dataset = synth_splits("audio", 4, 16, 8, seed=4)
+        fusions = count_calls(monkeypatch, AttentionFusion, "forward")
+        graph_builds = count_calls(monkeypatch, M, "build_scene_graphs")
+        model, report = train(config, dataset)
+        assert fusions == graph_builds == []
+        assert len(report.losses) == 2 and np.all(np.isfinite(report.losses))
+        assert not any(n.startswith(("afm.", "gcn.")) for n in model.registry.names())
+
+    def test_full_width_sizes(self):
+        # Registration only: no forward.
+        sizes = [
+            SceneModel.build(ModelConfig.full(10, disable_graph=flag)).registry.num_scalars()
+            for flag in (False, True)
+        ]
+        assert sizes == [28_351_562, 23_528_522]
 
 
 class TestTrainLabels:
@@ -485,10 +536,23 @@ class TestTrainLabels:
         assert builds == forwards == steps == []
 
 
+class TestTrainEvaluations:
+    @pytest.mark.parametrize("n_test", [8, 0], ids=["test_split", "no_test_split"])
+    def test_one_evaluation_per_epoch(self, monkeypatch, n_test):
+        dataset = synth_splits("audio", 4, 16, n_test, seed=6)
+        evaluations = count_calls(monkeypatch, M, "evaluate")
+        model, report = train(ModelConfig.tiny(seed=6, epochs=3), dataset)
+        assert len(evaluations) == (3 if n_test else 1)
+        fresh = evaluate(model, dataset.test or dataset.train, batch_size=8)
+        assert np.array_equal(report.confusion, fresh.confusion)
+        if n_test:
+            assert report.final_test_accuracy == fresh.accuracy
+
+
 class TestCheckpoint:
     @staticmethod
-    def randomized_model(registry=None):
-        model = SceneModel.build(ModelConfig.tiny(seed=3), registry=registry)
+    def randomized_model(config=ModelConfig.tiny(seed=3), registry=None):
+        model = SceneModel.build(config, registry=registry)
         rng = np.random.default_rng(3)
         # Built heads and shifts are zero, which f32 stores exactly.
         for _, p in model.registry.items():
@@ -506,7 +570,7 @@ class TestCheckpoint:
             assert np.array_equal(got.view(np.uint32), p.data.view(np.uint32)), name
 
     def test_round_trip_within_f32_rounding(self, tmp_path):
-        model = self.randomized_model(T.ParamRegistry(np.float64))
+        model = self.randomized_model(registry=T.ParamRegistry(np.float64))
         save_checkpoint(model, tmp_path)
         loaded = load_checkpoint(tmp_path)
         assert loaded.config == model.config
@@ -530,8 +594,9 @@ class TestCheckpoint:
             b"model.k_nodes = 8\nmodel.k_nodes = 8\n",
             b"model.k_nodes = 6\n",
             b"model.k_nodes = \xff\n",
+            b"model.k_node = 8\n",
         ],
-        ids=["unparsable", "repeated", "invalid", "not_utf8"],
+        ids=["unparsable", "repeated", "invalid", "not_utf8", "misspelt"],
     )
     def test_broken_manifest_names_the_file(self, tmp_path, line):
         save_checkpoint(self.randomized_model(), tmp_path)
@@ -541,6 +606,31 @@ class TestCheckpoint:
         manifest.write_bytes(text.replace(b"model.k_nodes = 8\n", line))
         with pytest.raises(ConfigurationError, match=re.escape(f"{manifest}: ")):
             load_checkpoint(tmp_path)
+
+    def test_non_finite_lr0_names_the_file(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        manifest = tmp_path / "config.txt"
+        text = manifest.read_text()
+        assert "train.lr0 = 0.01\n" in text
+        manifest.write_text(text.replace("train.lr0 = 0.01\n", "train.lr0 = nan\n"))
+        want = re.escape(f"{manifest}: lr0 must be finite and positive, got nan")
+        with pytest.raises(ConfigurationError, match=want):
+            load_checkpoint(tmp_path)
+
+    def test_ablated_model_round_trips(self, tmp_path, monkeypatch):
+        config = ModelConfig.tiny(seed=3, disable_graph=True)
+        model = self.randomized_model(config)
+        x = T.Tensor(np.random.default_rng(5).standard_normal((2, 1, 64, 32)))
+        save_checkpoint(model, tmp_path)
+        assert "model.disable_graph = True\n" in (tmp_path / "config.txt").read_text()
+        fusions = count_calls(monkeypatch, AttentionFusion, "forward")
+        loaded = load_checkpoint(tmp_path)
+        assert loaded.config == config and loaded.config.disable_graph
+        assert loaded.registry.names() == model.registry.names()
+        with T.no_grad():
+            want, got = model.forward(x).data, loaded.forward(x).data
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert fusions == []
 
     def test_wrong_shape_names_it(self, tmp_path):
         save_checkpoint(self.randomized_model(), tmp_path)
