@@ -171,16 +171,18 @@ class Backbone:
 
 def build_backbone(
     config: BackboneConfig,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     registry: ParamRegistry | None = None,
-    prefix: str = "backbone",
-    rng: np.random.Generator | None = None,
 ) -> Backbone:
-    """Register all backbone parameters, deterministically from the seed."""
+    """Register all backbone parameters, deterministically from the seed.
+
+    A Generator ``seed`` is drawn from as it is, so a caller can go on
+    drawing from it after the backbone.
+    """
     registry = registry if registry is not None else ParamRegistry()
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     c = config.stage_channels
-    stem = ConvUnit(registry, rng, f"{prefix}.conv1", config.in_channels, c[0], 7, 2, 3, relu=True)
+    stem = ConvUnit(registry, rng, "backbone.conv1", config.in_channels, c[0], 7, 2, 3, relu=True)
     stages = []
     c_in = c[0]
     for stage_idx, (c_out, n_blocks, stride) in enumerate(
@@ -192,7 +194,7 @@ def build_backbone(
                 ResidualBlock(
                     registry,
                     rng,
-                    f"{prefix}.stage{stage_idx}.block{b + 1}",
+                    f"backbone.stage{stage_idx}.block{b + 1}",
                     c_in if b == 0 else c_out,
                     c_out,
                     stride if b == 0 else 1,

@@ -32,24 +32,15 @@ from .backbone import he_uniform
 class AttentionFusion:
     """Blend f_m4[N,c4,H4,W4] with projected, upsampled f_m5[N,c5,H5,W5]."""
 
-    def __init__(
-        self,
-        registry: ParamRegistry,
-        c4: int,
-        c5: int,
-        rng: np.random.Generator,
-        prefix: str = "afm",
-    ):
+    def __init__(self, registry: ParamRegistry, c4: int, c5: int, rng: np.random.Generator):
         self.c4 = c4
         self.c5 = c5
-        self.proj_weight = registry.register(
-            f"{prefix}.proj.weight", he_uniform(rng, (c4, c5), c5)
-        )
-        self.proj_bias = registry.register(f"{prefix}.proj.bias", np.zeros(c4))
+        self.proj_weight = registry.register("afm.proj.weight", he_uniform(rng, (c4, c5), c5))
+        self.proj_bias = registry.register("afm.proj.bias", np.zeros(c4))
         self.gate_weight = registry.register(
-            f"{prefix}.gate.weight", he_uniform(rng, (c4, 2 * c4), 2 * c4)
+            "afm.gate.weight", he_uniform(rng, (c4, 2 * c4), 2 * c4)
         )
-        self.gate_bias = registry.register(f"{prefix}.gate.bias", np.zeros(c4))
+        self.gate_bias = registry.register("afm.gate.bias", np.zeros(c4))
 
     def forward(self, f_m4: Tensor, f_m5: Tensor) -> Tensor:
         n, c4, h4, w4 = f_m4.shape

@@ -10,12 +10,11 @@ the edge weights, vary from sample to sample. Training is plain SGD
 with momentum and a step learning-rate schedule; everything is deterministic
 given the config seed.
 
-A model computes in the dtype of its parameters. ``SceneModel.build`` and
-``JointSceneModel.build`` make a float32 registry unless given one; the
-input is cast to the registry's dtype at the model boundary
-(``SceneModel.features``), and the loss is reduced in float64. A
-``ParamRegistry`` built without a dtype is float64, which gradient checks
-and exact reference tests use.
+A model computes in the dtype of its parameters. ``SceneModel.build`` makes
+a float32 registry unless given one; the input is cast to the registry's
+dtype at the model boundary (``SceneModel.features``), and the loss is
+reduced in float64. A ``ParamRegistry`` built without a dtype is float64,
+which gradient checks and exact reference tests use.
 """
 
 from __future__ import annotations
@@ -49,14 +48,22 @@ from .tensor import (
     write_agt1,
 )
 
-MODALITIES = ("audio", "visual")
+# Input channels per modality: a log-Mel spectrogram or an RGB image.
+MODALITY_CHANNELS = {"audio": 1, "visual": 3}
+
+
+def _in_channels(modality: str) -> int:
+    if modality not in MODALITY_CHANNELS:
+        raise ConfigurationError(
+            f"modality must be one of {tuple(MODALITY_CHANNELS)}, got {modality!r}"
+        )
+    return MODALITY_CHANNELS[modality]
 
 
 @dataclass
 class ModelConfig:
     backbone: BackboneConfig
     num_classes: int
-    modality: str = "audio"
     k_nodes: int = 20
     gcn_out_channels: int = 256
     lr0: float = 0.01
@@ -69,8 +76,6 @@ class ModelConfig:
     disable_graph: bool = False
 
     def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ConfigurationError(f"modality must be one of {MODALITIES}")
         if self.num_classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.num_classes}")
         if self.k_nodes % 4 or self.k_nodes < 4:
@@ -90,6 +95,8 @@ class ModelConfig:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if not 0 <= self.momentum < 1:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def tiny(
@@ -100,11 +107,9 @@ class ModelConfig:
         seed: int = 0,
         **overrides,
     ) -> "ModelConfig":
-        in_channels = 1 if modality == "audio" else 3
         return cls(
-            backbone=BackboneConfig.tiny(in_channels),
+            backbone=BackboneConfig.tiny(_in_channels(modality)),
             num_classes=num_classes,
-            modality=modality,
             k_nodes=k_nodes,
             gcn_out_channels=overrides.pop("gcn_out_channels", 8),
             seed=seed,
@@ -115,11 +120,9 @@ class ModelConfig:
     def full(
         cls, num_classes: int, modality: str = "visual", seed: int = 0, **overrides
     ) -> "ModelConfig":
-        in_channels = 1 if modality == "audio" else 3
         return cls(
-            backbone=BackboneConfig.full(in_channels),
+            backbone=BackboneConfig.full(_in_channels(modality)),
             num_classes=num_classes,
-            modality=modality,
             seed=seed,
             **overrides,
         )
@@ -135,10 +138,9 @@ def lr_schedule(epoch: int, lr0: float, decay_factor: float, decay_every: int) -
 class SceneModel:
     """Backbone -> fusion -> scene graphs -> graph convolution -> affine head."""
 
-    def __init__(self, config: ModelConfig, registry: ParamRegistry, prefix: str = ""):
+    def __init__(self, config: ModelConfig, registry: ParamRegistry):
         self.config = config
         self.registry = registry
-        self.prefix = prefix
         self.backbone: Backbone | None = None
         self.fusion: AttentionFusion | None = None
         self.thetas: dict = {}
@@ -146,13 +148,7 @@ class SceneModel:
         self.head_bias: Tensor | None = None
 
     @classmethod
-    def build(
-        cls,
-        config: ModelConfig,
-        registry: ParamRegistry | None = None,
-        prefix: str = "",
-        with_head: bool = True,
-    ) -> "SceneModel":
+    def build(cls, config: ModelConfig, registry: ParamRegistry | None = None) -> "SceneModel":
         """Register every parameter, deterministically from ``config.seed``.
 
         Without a ``registry`` the model gets a float32 one and computes in
@@ -160,31 +156,25 @@ class SceneModel:
         """
         registry = registry if registry is not None else ParamRegistry(np.float32)
         rng = np.random.default_rng(config.seed)
-        model = cls(config, registry, prefix)
+        model = cls(config, registry)
         c4, c5 = config.backbone.stage_channels[3], config.backbone.stage_channels[4]
-        model.backbone = build_backbone(
-            config.backbone, registry=registry, prefix=f"{prefix}backbone", rng=rng
-        )
+        model.backbone = build_backbone(config.backbone, rng, registry)
         if not config.disable_graph:
-            model.fusion = AttentionFusion(registry, c4, c5, rng, prefix=f"{prefix}afm")
+            model.fusion = AttentionFusion(registry, c4, c5, rng)
             for branch in ("sag", "cag"):
                 # Node features are top-intensity cells, several times the
                 # typical activation scale; a plain fan-in init makes the first
                 # SGD steps large enough to kill the ReLU backbone.
                 model.thetas[branch] = registry.register(
-                    f"{prefix}gcn.{branch}.theta",
+                    f"gcn.{branch}.theta",
                     he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
                 )
-        if with_head:
-            # Zero head: logits start at 0, so the first updates are gentle
-            # regardless of the graph features' scale.
-            model.head_weight = registry.register(
-                f"{prefix}head.weight",
-                np.zeros((config.num_classes, model.feature_width)),
-            )
-            model.head_bias = registry.register(
-                f"{prefix}head.bias", np.zeros(config.num_classes)
-            )
+        # Zero head: logits start at 0, so the first updates are gentle
+        # regardless of the graph features' scale.
+        model.head_weight = registry.register(
+            "head.weight", np.zeros((config.num_classes, model.feature_width))
+        )
+        model.head_bias = registry.register("head.bias", np.zeros(config.num_classes))
         return model
 
     @property
@@ -437,6 +427,8 @@ def _check_labels(examples, num_classes: int, split: str) -> None:
 
 def evaluate(model: SceneModel, examples, batch_size: int = 8) -> EvalResult:
     """Accuracy and confusion matrix; confusion[i][j] counts true i predicted j."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
     if not examples:
         raise DataError("cannot evaluate an empty dataset")
     classes = model.config.num_classes
@@ -512,50 +504,6 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# joint audio-visual late fusion
-# ---------------------------------------------------------------------------
-
-
-class JointSceneModel:
-    """Late fusion: concatenate both modalities' classifier inputs, one joint head."""
-
-    def __init__(self, audio: SceneModel, visual: SceneModel, registry, head_w, head_b):
-        self.audio = audio
-        self.visual = visual
-        self.registry = registry
-        self.head_weight = head_w
-        self.head_bias = head_b
-        self.num_classes = head_w.data.shape[0]
-
-    @classmethod
-    def build(
-        cls, audio_config: ModelConfig, visual_config: ModelConfig
-    ) -> "JointSceneModel":
-        if audio_config.num_classes != visual_config.num_classes:
-            raise ConfigurationError("modality configs disagree on class count")
-        registry = ParamRegistry(np.float32)
-        audio = SceneModel.build(
-            audio_config, registry=registry, prefix="audio.", with_head=False
-        )
-        visual = SceneModel.build(
-            visual_config, registry=registry, prefix="visual.", with_head=False
-        )
-        rng = np.random.default_rng(audio_config.seed + 175)
-        width = audio.feature_width + visual.feature_width
-        head_w = registry.register(
-            "head.weight",
-            he_uniform(rng, (audio_config.num_classes, width), width),
-        )
-        head_b = registry.register("head.bias", np.zeros(audio_config.num_classes))
-        return cls(audio, visual, registry, head_w, head_b)
-
-    def forward(self, x_audio: Tensor, x_visual: Tensor) -> Tensor:
-        feats_a, _ = self.audio.features(x_audio)
-        feats_v, _ = self.visual.features(x_visual)
-        return linear(concat([feats_a, feats_v], axis=1), self.head_weight, self.head_bias)
-
-
-# ---------------------------------------------------------------------------
 # checkpoints and flat config text
 # ---------------------------------------------------------------------------
 
@@ -567,7 +515,7 @@ TRAIN_FIELDS = (
     "lr0", "momentum", "lr_decay_factor", "lr_decay_every", "epochs", "batch_size"
 )
 # Keys of removed ModelConfig fields, which earlier manifests still carry.
-RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k")
+RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k", "model.modality")
 _PARSERS = {
     "bool": lambda text: bool(("False", "True").index(text)),
     "int": int,
@@ -660,7 +608,8 @@ def load_checkpoint(directory) -> SceneModel:
     The model is float32, as ``SceneModel.build`` makes it, and AGT1 stores
     f32, so the weights of a float32 model come back bit for bit. Those of a
     model built with a float64 registry come back as the nearest f32, within
-    a relative 2**-24.
+    a relative 2**-24. A missing, misshapen or non-finite tensor raises
+    DataError naming it.
     """
     directory = Path(directory)
     manifest = directory / CONFIG_FILENAME
@@ -680,5 +629,8 @@ def load_checkpoint(directory) -> SceneModel:
             raise DataError(
                 f"{name}: checkpoint shape {value.shape} != model shape {p.data.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise DataError(f"{path}: non-finite value at flat index {bad[0]}")
         p.data[...] = value
     return model

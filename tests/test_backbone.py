@@ -66,6 +66,13 @@ class TestBuild:
         for name in a.registry.names():
             assert np.array_equal(a.registry[name].data, b.registry[name].data)
 
+    def test_generator_seed_is_drawn_from_as_given(self):
+        a = build_backbone(BackboneConfig.tiny(), seed=5)
+        b = build_backbone(BackboneConfig.tiny(), seed=np.random.default_rng(5))
+        assert a.registry.names() == b.registry.names()
+        for name in a.registry.names():
+            assert np.array_equal(a.registry[name].data, b.registry[name].data), name
+
     def test_different_seed_differs(self):
         a = build_backbone(BackboneConfig.tiny(), seed=5)
         b = build_backbone(BackboneConfig.tiny(), seed=6)

@@ -14,7 +14,6 @@ from avscene.fusion import AttentionFusion
 from avscene.model import (
     RETIRED_KEYS,
     SGD,
-    JointSceneModel,
     ModelConfig,
     SceneModel,
     config_from_flat,
@@ -125,13 +124,6 @@ class TestFloat32Policy:
             assert optimizer.velocity[name].dtype == np.float32, name
             assert p.grad is not None and p.grad.dtype == np.float32, name
 
-    def test_joint_model_is_float32(self):
-        joint = JointSceneModel.build(
-            ModelConfig.tiny(modality="audio"), ModelConfig.tiny(modality="visual")
-        )
-        assert joint.registry.dtype == np.float32
-        assert all(p.data.dtype == np.float32 for p in joint.registry.tensors())
-
     def test_resize_matrix_is_cached_per_dtype(self):
         r32 = T._resize_matrix(5, 9, np.dtype(np.float32))
         r64 = T._resize_matrix(5, 9, np.dtype(np.float64))
@@ -150,9 +142,9 @@ class TestFloat32Learning:
     def test_float32_loss_curve_tracks_float64(self, monkeypatch):
         build = SceneModel.build.__func__
 
-        def float64_build(cls, config, registry=None, prefix="", with_head=True):
+        def float64_build(cls, config, registry=None):
             registry = registry if registry is not None else T.ParamRegistry(np.float64)
-            return build(cls, config, registry, prefix, with_head)
+            return build(cls, config, registry)
 
         for seed in (0, 1):
             config = ModelConfig.tiny(seed=seed, epochs=12, lr_decay_every=12, lr0=0.003)
@@ -199,7 +191,6 @@ REQUIRED = {
 OFF_DEFAULT = ModelConfig(
     backbone=BackboneConfig(3, [4, 8, 12, 20, 36], [2, 1, 3, 1], "bottleneck"),
     num_classes=5,
-    modality="visual",
     k_nodes=12,
     gcn_out_channels=6,
     lr0=0.125,
@@ -229,7 +220,9 @@ class TestConfigText:
                     assert getattr(obj, f.name) != f.default, f.name
 
     def test_earlier_text_keeps_its_keys_and_loads(self):
-        want = {**parse_config_text(TINY_TEXT), "model.disable_graph": "False"}
+        want = parse_config_text(TINY_TEXT)
+        del want["model.modality"]  # a retired key
+        want["model.disable_graph"] = "False"
         assert config_to_flat(ModelConfig.tiny()) == want
         assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
 
@@ -282,6 +275,60 @@ class TestConfigText:
             parse_config_text(text)
 
 
+# The registered names of SceneModel.build(ModelConfig.tiny()), in order. They
+# are the checkpoint's tensor file names, so a change to one breaks every
+# saved checkpoint.
+TINY_NAMES = [
+    "backbone.conv1.weight",
+    "backbone.conv1.scale",
+    "backbone.conv1.shift",
+    "backbone.stage2.block1.conv_a.weight",
+    "backbone.stage2.block1.conv_a.scale",
+    "backbone.stage2.block1.conv_a.shift",
+    "backbone.stage2.block1.conv_b.weight",
+    "backbone.stage2.block1.conv_b.scale",
+    "backbone.stage2.block1.conv_b.shift",
+    "backbone.stage2.block1.proj.weight",
+    "backbone.stage2.block1.proj.scale",
+    "backbone.stage2.block1.proj.shift",
+    "backbone.stage3.block1.conv_a.weight",
+    "backbone.stage3.block1.conv_a.scale",
+    "backbone.stage3.block1.conv_a.shift",
+    "backbone.stage3.block1.conv_b.weight",
+    "backbone.stage3.block1.conv_b.scale",
+    "backbone.stage3.block1.conv_b.shift",
+    "backbone.stage3.block1.proj.weight",
+    "backbone.stage3.block1.proj.scale",
+    "backbone.stage3.block1.proj.shift",
+    "backbone.stage4.block1.conv_a.weight",
+    "backbone.stage4.block1.conv_a.scale",
+    "backbone.stage4.block1.conv_a.shift",
+    "backbone.stage4.block1.conv_b.weight",
+    "backbone.stage4.block1.conv_b.scale",
+    "backbone.stage4.block1.conv_b.shift",
+    "backbone.stage4.block1.proj.weight",
+    "backbone.stage4.block1.proj.scale",
+    "backbone.stage4.block1.proj.shift",
+    "backbone.stage5.block1.conv_a.weight",
+    "backbone.stage5.block1.conv_a.scale",
+    "backbone.stage5.block1.conv_a.shift",
+    "backbone.stage5.block1.conv_b.weight",
+    "backbone.stage5.block1.conv_b.scale",
+    "backbone.stage5.block1.conv_b.shift",
+    "backbone.stage5.block1.proj.weight",
+    "backbone.stage5.block1.proj.scale",
+    "backbone.stage5.block1.proj.shift",
+    "afm.proj.weight",
+    "afm.proj.bias",
+    "afm.gate.weight",
+    "afm.gate.bias",
+    "gcn.sag.theta",
+    "gcn.cag.theta",
+    "head.weight",
+    "head.bias",
+]
+
+
 class TestModelConfig:
     @pytest.mark.parametrize("k", [4, 28, 36])
     def test_any_positive_multiple_of_4_nodes(self, k):
@@ -323,10 +370,10 @@ class TestModelConfig:
             assert not np.array_equal(p.data, before[name]), name
 
     def test_manifest_with_a_retired_key_still_loads(self):
-        # Manifests written before gcn_layers and allow_any_k were removed.
-        assert RETIRED_KEYS == ("model.gcn_layers", "model.allow_any_k")
+        # Manifests written before gcn_layers, allow_any_k and modality were removed.
+        assert RETIRED_KEYS == ("model.gcn_layers", "model.allow_any_k", "model.modality")
         config = ModelConfig.tiny(k_nodes=12)
-        for key, value in zip(RETIRED_KEYS, ("1", "False")):
+        for key, value in zip(RETIRED_KEYS, ("1", "False", "audio")):
             flat = config_to_flat(config)
             flat[key] = value
             assert config_from_flat(flat) == config, key
@@ -344,11 +391,23 @@ class TestModelConfig:
             ("momentum", -5.0),
             ("momentum", 1.5),
             ("momentum", 1.0),
+            ("seed", -1),
         ],
     )
     def test_bad_training_value_names_the_field_and_value(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} .*got {value}$"):
             ModelConfig.tiny(**{field: value})
+
+    def test_unknown_modality_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="got 'video'$"):
+            ModelConfig.tiny(modality="video")
+        with pytest.raises(ConfigurationError, match="got 'video'$"):
+            ModelConfig.full(8, modality="video")
+
+    def test_registered_names_are_pinned(self):
+        names = SceneModel.build(ModelConfig.tiny()).registry.names()
+        assert len(TINY_NAMES) == 47
+        assert names == TINY_NAMES
 
 
 class TestSGD:
@@ -473,6 +532,13 @@ class TestEvaluate:
         assert (confusions[0].sum(axis=0) > 0).sum() >= 2  # not one class for all
         assert np.array_equal(confusions[1], confusions[0])
         assert np.array_equal(confusions[2], confusions[0])
+
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_non_positive_batch_size_names_the_value(self, batch_size):
+        model = self.seeded_model(synth_dataset("audio", 4, 2, seed=2))
+        examples = synth_dataset("audio", 4, 4, seed=3)
+        with pytest.raises(ConfigurationError, match=f"batch_size .*got {batch_size}$"):
+            evaluate(model, examples, batch_size=batch_size)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -615,6 +681,27 @@ class TestCheckpoint:
         manifest.write_text(text.replace("train.lr0 = 0.01\n", "train.lr0 = nan\n"))
         want = re.escape(f"{manifest}: lr0 must be finite and positive, got nan")
         with pytest.raises(ConfigurationError, match=want):
+            load_checkpoint(tmp_path)
+
+    def test_negative_seed_names_the_file(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        manifest = tmp_path / "config.txt"
+        text = manifest.read_text()
+        assert "model.seed = 3\n" in text
+        manifest.write_text(text.replace("model.seed = 3\n", "model.seed = -1\n"))
+        want = re.escape(f"{manifest}: seed must be non-negative, got -1")
+        with pytest.raises(ConfigurationError, match=want):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_non_finite_tensor_names_the_file_and_index(self, tmp_path, bad):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        path = tmp_path / "backbone.conv1.weight.agt1"
+        value = T.read_agt1(path)
+        value.reshape(-1)[[5, 9]] = bad
+        T.write_agt1(path, value)
+        want = re.escape(f"{path}: non-finite value at flat index 5")
+        with pytest.raises(DataError, match=want):
             load_checkpoint(tmp_path)
 
     def test_ablated_model_round_trips(self, tmp_path, monkeypatch):
