@@ -5,8 +5,9 @@ then three stride-2 stages. Channel widths and depth are configurable so the
 same code serves both the full-width network and a tiny trainable variant.
 Per-channel affine (scale/shift) parameters stand in for batch statistics,
 keeping the forward pass deterministic and batch-size independent. A conv
-unit's affine and ReLU live inside its ``conv2d`` op, and a residual join's
-ReLU inside its ``add``: each records one tape node.
+unit's affine and ReLU live inside its ``conv2d`` op, and a residual block's
+join (shortcut sum and ReLU) inside the op of its last unit: each unit records
+one tape node, and no block keeps its pre-join output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import ParamRegistry, Tensor, add, conv2d, global_avg_pool
+from .tensor import ParamRegistry, Tensor, conv2d, global_avg_pool
 
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5; the stem is always stride 2
 
@@ -119,6 +120,13 @@ class ConvUnit:
             x, self.weight, self.shift, self.stride, self.padding, self.scale, self.relu
         )
 
+    def join(self, x: Tensor, shortcut: Tensor) -> Tensor:
+        """relu(unit(x) + shortcut): a residual block's last unit and its join, as one op."""
+        return conv2d(
+            x, self.weight, self.shift, self.stride, self.padding, self.scale,
+            relu=True, residual=shortcut,
+        )
+
 
 class ResidualBlock:
     """Two-conv basic block or 1-3-1 bottleneck, identity or projected shortcut."""
@@ -139,11 +147,12 @@ class ResidualBlock:
             self.proj = None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.conv_b.forward(self.conv_a.forward(x))
+        y = self.conv_a.forward(x)
+        last = self.conv_b
         if self.block_type == "bottleneck":
-            y = self.conv_c.forward(y)
+            y, last = self.conv_b.forward(y), self.conv_c
         shortcut = self.proj.forward(x) if self.proj is not None else x
-        return add(y, shortcut, relu=True)
+        return last.join(y, shortcut)
 
 
 @dataclass

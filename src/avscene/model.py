@@ -446,6 +446,7 @@ def evaluate(model: SceneModel, examples, batch_size: int = 8) -> EvalResult:
     return EvalResult(accuracy=accuracy, confusion=confusion)
 
 
+@np.errstate(all="ignore")
 def train(config: ModelConfig, dataset: Dataset, progress=None):
     """Train a fresh model on dataset.train, tracking test accuracy per epoch.
 
@@ -453,6 +454,11 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
     epoch's on the test split, or on the train split when there is no test
     split. Deterministic given config.seed: the shuffle sequence,
     initialization, and batch composition are all derived from it.
+
+    numpy's floating-point warnings are off inside: a diverging run raises
+    ``NumericError`` from the loss or gradient finiteness checks, not a
+    ``RuntimeWarning`` (an exception under ``-W error``) from the op that
+    first overflowed.
     """
     if not dataset.train:
         raise DataError("cannot train on an empty dataset")

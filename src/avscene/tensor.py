@@ -6,8 +6,10 @@ parameter registry, a finite-difference gradient checker, and the AGT1
 tensor file format used for feature exchange and checkpoints.
 
 A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
-bias[O])``, and ``add(a, b, relu=True)`` is the residual join; both work in
-place only on the fresh output they allocate, never on their inputs.
+bias[O] + residual)``; a residual block's last unit takes the shortcut as
+``residual``, so the join is part of that op. It works in place only on the
+fresh output it allocates, never on its inputs, and its tape keeps no im2col
+columns: the backward builds them again from ``x``.
 
 Gradients are computed by recording a tape of backward closures during the
 forward pass and replaying it in reverse topological order. The replay
@@ -139,12 +141,17 @@ def _consumed(g) -> None:
     )
 
 
-def _accumulate(t: Tensor, g) -> None:
+def _accumulate(t: Tensor, g, fresh: bool = False) -> None:
     # First assignment copies: g may alias another tensor's grad buffer.
     # The copy takes t's dtype, so a float64 gradient (the loss's) reaching a
-    # float32 tensor is cast back; += keeps the dtype of t.grad.
+    # float32 tensor is cast back; += keeps the dtype of t.grad. A ``fresh`` g
+    # is an array the closure made and hands over, that nothing else holds:
+    # it becomes t.grad uncopied when it already has t's dtype.
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        if fresh and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -162,18 +169,13 @@ def _record(out: Tensor, parents: tuple, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """a + b, optionally followed by a ReLU applied in place on the fresh sum."""
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for operands of one shape; both receive the output's gradient."""
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"add: shape {a.data.shape} != {b.data.shape}")
-    y = a.data + b.data
-    if relu:
-        np.maximum(y, 0.0, out=y)
-    out = Tensor(y)
+    out = Tensor(a.data + b.data)
 
     def bwd(g):
-        if relu:
-            g = g * (y > 0.0)  # subgradient at exactly 0 is 0
         if a.requires_grad:
             _accumulate(a, g)
         if b.requires_grad:
@@ -314,12 +316,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data)
+            _accumulate(x, g @ w.data, fresh=True)
         g2 = g.reshape(-1, g.shape[-1])
         if w.requires_grad:
-            _accumulate(w, g2.T @ xn.reshape(-1, xn.shape[-1]))
+            _accumulate(w, g2.T @ xn.reshape(-1, xn.shape[-1]), fresh=True)
         if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+            _accumulate(b, g2.sum(axis=0), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _record(out, parents, bwd)
@@ -345,11 +347,18 @@ def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
-    n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, ho: int, wo: int):
+    """[N, C*kh*kw, ho*wo] columns of x; a view of x for an unpadded 1x1 stride-1 kernel."""
+    if padding:
+        # Manual zero padding: np.pad is slow on this hot path.
+        n, c, h, w = x.shape
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        x = xp
+    n, c, _, _ = x.shape
+    sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp,
+        x,
         shape=(n, c, kh, kw, ho, wo),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
     )
@@ -376,12 +385,15 @@ def conv2d(
     padding: int = 0,
     scale: Tensor | None = None,
     relu: bool = False,
+    residual: Tensor | None = None,
 ) -> Tensor:
-    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O]) for x[N,C,H,W], w[O,C,kh,kw].
+    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,kh,kw].
 
-    ``w ⋆ x`` is the 2-D cross-correlation. The affine and the ReLU run in
-    place on the matrix product's fresh output, so the tape keeps only the
-    im2col columns and that output; the backward masks by ``out > 0``.
+    ``w ⋆ x`` is the 2-D cross-correlation, and ``residual`` has the output's
+    shape. The affine, the residual sum and the ReLU run in place, in that
+    order, on the matrix product's fresh output, so the tape keeps only that
+    output: the backward masks by ``out > 0``, hands the masked gradient to
+    ``residual`` and builds the im2col columns again from ``x``.
     """
     xn, wn = x.data, w.data
     if xn.ndim != 4 or wn.ndim != 4:
@@ -406,19 +418,19 @@ def conv2d(
             raise ConfigurationError(f"conv2d: {name} shape {t.data.shape} != ({o},)")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    if padding:
-        # Manual zero padding: np.pad is slow on this hot path.
-        xp = np.zeros((n, c, hp, wp), dtype=xn.dtype)
-        xp[:, :, padding : padding + h, padding : padding + wd] = xn
-    else:
-        xp = xn
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    if residual is not None and residual.data.shape != (n, o, ho, wo):
+        raise ConfigurationError(
+            f"conv2d: residual shape {residual.data.shape} != {(n, o, ho, wo)}"
+        )
     w2 = wn.reshape(o, -1)
-    y = np.matmul(w2, cols)  # fresh [N,O,ho*wo]: the in-place steps below own it
+    # Fresh [N,O,ho*wo]: the in-place steps below own it.
+    y = np.matmul(w2, _im2col(xn, kh, kw, stride, padding, ho, wo))
     if scale is not None:
         y *= scale.data.reshape(1, o, 1)
     if bias is not None:
         y += bias.data.reshape(1, o, 1)
+    if residual is not None:
+        y += residual.data.reshape(n, o, ho * wo)
     if relu:
         np.maximum(y, 0.0, out=y)
     out = Tensor(y.reshape(n, o, ho, wo))
@@ -427,17 +439,21 @@ def conv2d(
         g2 = g.reshape(n, o, ho * wo)
         if relu:
             g2 = g2 * (y > 0.0)  # subgradient at exactly 0 is 0
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g2.reshape(n, o, ho, wo))
         scaled = scale is not None
         if w.requires_grad or (scaled and scale.requires_grad):
+            cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
             gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            del cols  # freed before the input gradient's buffers are made
             if scaled and scale.requires_grad:
-                _accumulate(scale, np.einsum("ok,ok->o", gw, w2))
+                _accumulate(scale, np.einsum("ok,ok->o", gw, w2), fresh=True)
             if w.requires_grad:
                 if scaled:
                     gw *= scale.data[:, None]
-                _accumulate(w, gw.reshape(wn.shape))
+                _accumulate(w, gw.reshape(wn.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=(0, 2)))
+            _accumulate(bias, g2.sum(axis=(0, 2)), fresh=True)
         if x.requires_grad:
             if scaled:
                 g2 = g2 * scale.data.reshape(1, o, 1)
@@ -449,9 +465,9 @@ def conv2d(
                 dxp = _col2im(dcols, (n, c, hp, wp), kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
-            _accumulate(x, dxp)
+            _accumulate(x, dxp, fresh=not padding)  # a padded one is a slice
 
-    parents = (x, w) + tuple(t for t in (scale, bias) if t is not None)
+    parents = (x, w) + tuple(t for t in (scale, bias, residual) if t is not None)
     return _record(out, parents, bwd)
 
 

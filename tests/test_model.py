@@ -602,6 +602,16 @@ class TestTrainLabels:
         assert builds == forwards == steps == []
 
 
+class TestTrainDivergence:
+    def test_divergence_is_a_numeric_error_under_warnings_as_errors(self):
+        # Warnings are errors here (pyproject's filterwarnings). At lr0=1.0
+        # this run overflows in conv2d during epoch 2; the loss check must
+        # report that, not numpy's RuntimeWarning from the overflowing op.
+        config = ModelConfig.tiny(modality="visual", epochs=3, lr0=1.0)
+        with pytest.raises(NumericError, match="loss diverged at epoch 2"):
+            train(config, synth_splits("visual", 4, 16, 8, seed=1))
+
+
 class TestTrainEvaluations:
     @pytest.mark.parametrize("n_test", [8, 0], ids=["test_split", "no_test_split"])
     def test_one_evaluation_per_epoch(self, monkeypatch, n_test):
