@@ -11,6 +11,15 @@ bias[O] + residual)``; a residual block's last unit takes the shortcut as
 fresh output it allocates, never on its inputs, and its tape keeps no im2col
 columns: the backward builds them again from ``x``.
 
+The columns come from one flat, zero-padded plane per row phase of the
+stride, with rows of s·wq cells for wq = ceil(cw / s), cw the padded columns
+that windows read. Each of the kh·kw taps is then one long slice of a plane,
+contiguous at stride 1 and with step s otherwise, instead of ho short rows
+of wo cells. The matrix products run on ho·wq columns per channel: the
+wq - wo extra columns of each output row are dropped in the forward, and
+get a zero gradient in the backward, which adds each tap's column gradient
+back into the planes. The planes hold only cells that some window reads.
+
 Gradients are computed by recording a tape of backward closures during the
 forward pass and replaying it in reverse topological order. The replay
 consumes the tape: each interior node's gradient, closure and parent links
@@ -328,16 +337,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
-    """Apply a constant [K,K] matrix, cast to x's dtype, to each item of x[N,K,C]."""
+    """Apply constant matrices, cast to x's dtype, to the items of x[N,K,C].
+
+    m is one [K,K] matrix for every item, or [N,K,K] with one per item.
+    """
     m = np.asarray(m, dtype=x.data.dtype)
-    if x.data.ndim != 3 or m.shape != (x.data.shape[1], x.data.shape[1]):
+    shape = x.data.shape
+    if x.data.ndim != 3 or m.shape not in ((shape[1],) * 2, (shape[0],) + (shape[1],) * 2):
         raise ConfigurationError(
-            f"batched_matrix_apply: m {m.shape} does not fit x {x.data.shape}"
+            f"batched_matrix_apply: m {m.shape} does not fit x {shape}"
         )
     out = Tensor(np.matmul(m, x.data))
 
     def bwd(g):
-        _accumulate(x, np.matmul(m.T, g))
+        _accumulate(x, np.matmul(m.swapaxes(-1, -2), g), fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -347,34 +360,135 @@ def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, ho: int, wo: int):
-    """[N, C*kh*kw, ho*wo] columns of x; a view of x for an unpadded 1x1 stride-1 kernel."""
-    if padding:
-        # Manual zero padding: np.pad is slow on this hot path.
-        n, c, h, w = x.shape
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        x = xp
-    n, c, _, _ = x.shape
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+@dataclass(frozen=True)
+class _TapLayout:
+    """Where ``conv2d`` finds its kh·kw taps in the stride-phase planes of x.
+
+    Row phase a of stride s is one flat, zero-padded plane that holds the
+    padded input's rows a, a + s, a + 2s, ... in rows of s·wq cells, where
+    wq = ceil(cw / s) >= wo for the cw padded columns that windows read. Tap
+    (i, j) is then one slice of ho·wq cells with step s: it starts at
+    (i // s)·s·wq + j in plane i mod s, and output (yo, xo) is its element
+    yo·wq + xo. So every tap is contiguous at stride 1. The wq - wo extra
+    columns of each output row read other cells or zeros; the forward drops
+    them and the backward gives them a zero gradient. A plane holds only the
+    rows and the columns that windows read, and a tap's slice meets only
+    columns congruent to its j mod s, so no cell of x that no window reads
+    reaches an output or a gradient.
+    """
+
+    kh: int
+    kw: int
+    stride: int
+    padding: int
+    ho: int
+    wo: int
+    wq: int  # columns per output row, wo plus the extra ones
+    hq: int  # rows per plane
+    plane: int  # flat length of a plane: hq·s·wq and the last tap's overhang
+    fills: tuple  # (phase, plane rows, input rows) slices of the read rows
+    read_w: int  # windows read the input's columns x[..., :read_w]
+    offsets: tuple  # start of each tap's slice in the stacked planes, (i, j) order
+
+    @property
+    def phases(self) -> int:
+        return min(self.stride, self.kh)
+
+    @property
+    def is_x(self) -> bool:
+        """Unpadded, stride 1 and kw == 1: x itself is the one plane."""
+        return self.stride == self.kw == 1 and self.padding == 0
+
+    @property
+    def one_tap(self) -> bool:
+        """A 1x1 stride-1 kernel: its one tap is its whole plane."""
+        return self.stride == self.kh == self.kw == 1
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_layout(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> _TapLayout:
+    s, p = stride, padding
+    ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    wq = -(-(s * (wo - 1) + kw) // s)
+    hq = ho + (kh - 1) // s
+    # Plane row r of phase a is padded row a + s·r, input row a + s·r - p;
+    # windows read padded rows below s·(ho-1) + kh.
+    end = min(s * (ho - 1) + kh, p + h)
+    fills = []
+    for a in range(min(s, kh)):
+        lo, hi = max(0, -((a - p) // s)), min(hq, -((a - end) // s))
+        if hi > lo:
+            y0 = a + s * lo - p
+            fills.append((a, slice(lo, hi), slice(y0, y0 + s * (hi - lo - 1) + 1, s)))
+    read_w = min(w, s * (wo - 1) + kw - p)
+    plane = hq * s * wq + max(0, kw - s)
+    offsets = tuple(
+        (i % s) * plane + (i // s) * s * wq + j for i in range(kh) for j in range(kw)
     )
-    return windows.reshape(n, c * kh * kw, ho * wo)
+    return _TapLayout(kh, kw, s, p, ho, wo, wq, hq, plane, tuple(fills), read_w, offsets)
 
 
-def _col2im(dcols, shape, kh: int, kw: int, stride: int, ho: int, wo: int):
-    n, c, hp, wp = shape
-    d6 = dcols.reshape(n, c, kh, kw, ho, wo)
-    out = np.zeros(shape, dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                d6[:, :, i, j]
-            )
-    return out
+def _plane_rows(planes: np.ndarray, t: _TapLayout) -> np.ndarray:
+    """[N, C, phases, hq, s·wq] view of flat planes [N, C, phases·plane]."""
+    n, c, _ = planes.shape
+    stacked = planes.reshape(n, c, t.phases, t.plane)[..., : t.hq * t.stride * t.wq]
+    return stacked.reshape(n, c, t.phases, t.hq, t.stride * t.wq)  # splits one axis: a view
+
+
+def _im2col(x: np.ndarray, t: _TapLayout) -> np.ndarray:
+    """[N, C·kh·kw, ho·wq] columns of x: row (c, i, j) is tap (i, j)'s slice of c's planes.
+
+    The row-phase planes are zero-padded and hold only the cells that
+    windows read; x itself is the one plane when ``is_x``, and the columns
+    of a 1x1 stride-1 kernel are its planes. Otherwise the taps of one row
+    phase are one strided view of its plane, copied.
+    """
+    n, c, _, _ = x.shape
+    if t.is_x:
+        planes = np.ascontiguousarray(x).reshape(n, c, -1)
+    else:
+        planes = np.zeros((n, c, t.phases * t.plane), dtype=x.dtype)
+        rows = _plane_rows(planes, t)
+        cols = slice(t.padding, t.padding + t.read_w)
+        for phase, plane_rows, ys in t.fills:
+            rows[:, :, phase, plane_rows, cols] = x[:, :, ys, : t.read_w]
+    if t.one_tap:
+        return planes
+    s, span = t.stride, t.ho * t.wq
+    taps = np.empty((n, c, t.kh, t.kw, span), dtype=x.dtype)
+    sn, sc, se = planes.strides
+    for phase in range(t.phases):
+        dest = taps[:, :, phase::s]
+        strides = (sn, sc, s * t.wq * se, se, s * se)
+        offset = t.offsets[phase * t.kw] * se
+        dest[...] = np.ndarray(dest.shape, x.dtype, planes, offset, strides)
+    return taps.reshape(n, -1, span)
+
+
+def _col2im(dcols: np.ndarray, shape, t: _TapLayout) -> np.ndarray:
+    """Fresh input gradient [N,C,H,W] of the columns' gradient [N, C·kh·kw, ho·wq].
+
+    Each tap's row adds into its slice of the row-phase planes, in tap
+    order; the planes' cells then go back to their places in x, and every
+    cell of x that no window reads gets 0.
+    """
+    n, c, _, _ = shape
+    s, span = t.stride, t.ho * t.wq
+    if t.one_tap:
+        dplanes = dcols
+    else:
+        dplanes = np.zeros((n, c, t.phases * t.plane), dtype=dcols.dtype)
+        taps = dcols.reshape(n, c, len(t.offsets), span)
+        for k, start in enumerate(t.offsets):
+            dplanes[:, :, start : start + s * (span - 1) + 1 : s] += taps[:, :, k]
+    if t.is_x:
+        return dplanes.reshape(shape)
+    rows = _plane_rows(dplanes, t)
+    dx = np.zeros(shape, dtype=dcols.dtype)
+    cols = slice(t.padding, t.padding + t.read_w)
+    for phase, plane_rows, ys in t.fills:
+        dx[:, :, ys, : t.read_w] = rows[:, :, phase, plane_rows, cols]
+    return dx
 
 
 def conv2d(
@@ -390,10 +504,16 @@ def conv2d(
     """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,kh,kw].
 
     ``w ⋆ x`` is the 2-D cross-correlation, and ``residual`` has the output's
-    shape. The affine, the residual sum and the ReLU run in place, in that
-    order, on the matrix product's fresh output, so the tape keeps only that
-    output: the backward masks by ``out > 0``, hands the masked gradient to
-    ``residual`` and builds the im2col columns again from ``x``.
+    shape. The columns are one slice per tap of x's stride-phase planes
+    (``_TapLayout``), so each output row has wq - wo extra columns: the
+    matrix products run on ho·wq columns, the forward drops the extra ones
+    and the backward zero-pads the output gradient to match. An unpadded
+    1x1 stride-1 conv uses x itself as its columns.
+
+    The affine, the residual sum and the ReLU run in place, in that order, on
+    the matrix product's fresh output, so the tape keeps only that output:
+    the backward masks by ``out > 0``, hands the masked gradient to
+    ``residual`` and builds the columns again from ``x``.
     """
     xn, wn = x.data, w.data
     if xn.ndim != 4 or wn.ndim != 4:
@@ -416,15 +536,16 @@ def conv2d(
     for name, t in (("scale", scale), ("bias", bias)):
         if t is not None and t.data.shape != (o,):
             raise ConfigurationError(f"conv2d: {name} shape {t.data.shape} != ({o},)")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    layout = _tap_layout(h, wd, kh, kw, stride, padding)
+    ho, wo, wq = layout.ho, layout.wo, layout.wq
     if residual is not None and residual.data.shape != (n, o, ho, wo):
         raise ConfigurationError(
             f"conv2d: residual shape {residual.data.shape} != {(n, o, ho, wo)}"
         )
     w2 = wn.reshape(o, -1)
-    # Fresh [N,O,ho*wo]: the in-place steps below own it.
-    y = np.matmul(w2, _im2col(xn, kh, kw, stride, padding, ho, wo))
+    yq = np.matmul(w2, _im2col(xn, layout))
+    # Fresh [N,O,ho*wo] without the extra columns: the in-place steps below own it.
+    y = yq.reshape(n, o, ho, wq)[..., :wo].reshape(n, o, ho * wo)
     if scale is not None:
         y *= scale.data.reshape(1, o, 1)
     if bias is not None:
@@ -441,10 +562,16 @@ def conv2d(
             g2 = g2 * (y > 0.0)  # subgradient at exactly 0 is 0
         if residual is not None and residual.requires_grad:
             _accumulate(residual, g2.reshape(n, o, ho, wo))
+        if wq > wo:  # the extra columns get a zero gradient
+            gq = np.zeros((n, o, ho, wq), dtype=g2.dtype)
+            gq[..., :wo] = g2.reshape(n, o, ho, wo)
+            gq = gq.reshape(n, o, ho * wq)
+        else:
+            gq = g2
         scaled = scale is not None
         if w.requires_grad or (scaled and scale.requires_grad):
-            cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
-            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            cols = _im2col(x.data, layout)
+            gw = np.matmul(gq, cols.transpose(0, 2, 1)).sum(axis=0)
             del cols  # freed before the input gradient's buffers are made
             if scaled and scale.requires_grad:
                 _accumulate(scale, np.einsum("ok,ok->o", gw, w2), fresh=True)
@@ -456,16 +583,8 @@ def conv2d(
             _accumulate(bias, g2.sum(axis=(0, 2)), fresh=True)
         if x.requires_grad:
             if scaled:
-                g2 = g2 * scale.data.reshape(1, o, 1)
-            dcols = np.matmul(w2.T, g2)
-            if kh == 1 and kw == 1 and stride == 1:
-                # Every padded pixel is exactly one column: no overlap to add.
-                dxp = dcols.reshape(n, c, hp, wp)
-            else:
-                dxp = _col2im(dcols, (n, c, hp, wp), kh, kw, stride, ho, wo)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
-            _accumulate(x, dxp, fresh=not padding)  # a padded one is a slice
+                gq = gq * scale.data.reshape(1, o, 1)
+            _accumulate(x, _col2im(np.matmul(w2.T, gq), xn.shape, layout), fresh=True)
 
     parents = (x, w) + tuple(t for t in (scale, bias, residual) if t is not None)
     return _record(out, parents, bwd)

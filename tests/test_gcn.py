@@ -51,6 +51,56 @@ class TestPropagationMatrix:
             gcn.propagation_matrix(np.eye(2))
 
 
+def reference_verdict(adj):
+    """The adjacency checks written with np.* functions: the message word, or None."""
+    if np.max(np.abs(adj - adj.T), initial=0.0) > 1e-12:
+        return "symmetric"
+    if np.any(adj < 0.0):
+        return "negative"
+    if np.any(np.diag(adj) != 0.0):
+        return "diagonal"
+    return None
+
+
+def adjacency_case(*entries):
+    """4x4 valid adjacency with (row, col, value) entries overwritten."""
+    adj = random_adjacency(np.random.default_rng(12), 4)
+    for i, j, value in entries:
+        adj[i, j] = value
+    return adj
+
+
+NAN = float("nan")
+VALIDATION_CASES = {
+    "valid": (),
+    "asymmetric": ((0, 1, 7.0),),
+    "negative": ((1, 2, -1.0), (2, 1, -1.0)),
+    "diagonal": ((3, 3, 0.5),),
+    "negative zero diagonal": ((3, 3, -0.0),),
+    "nan pair": ((0, 1, NAN), (1, 0, NAN)),
+    "nan one side": ((0, 1, NAN),),
+    "nan and asymmetric": ((0, 1, NAN), (2, 3, 9.0)),
+    "nan and negative": ((0, 1, NAN), (2, 3, -1.0), (3, 2, -1.0)),
+    "nan diagonal": ((2, 2, NAN),),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", VALIDATION_CASES)
+    def test_same_verdict_as_the_numpy_function_checks(self, case):
+        adj = adjacency_case(*VALIDATION_CASES[case])
+        want = reference_verdict(adj)
+        if want is None:
+            assert gcn.propagation_matrix(adj).shape == (4, 4)
+        else:
+            with pytest.raises(DataError, match=want):
+                gcn.propagation_matrix(adj)
+
+    def test_cases_reach_every_verdict(self):
+        verdicts = {reference_verdict(adjacency_case(*e)) for e in VALIDATION_CASES.values()}
+        assert verdicts == {None, "symmetric", "negative", "diagonal"}
+
+
 class TestGcnLayer:
     def test_double_identity(self):
         x = T.Tensor(np.abs(np.random.default_rng(3).standard_normal((2, 4, 3))))

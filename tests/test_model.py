@@ -11,6 +11,8 @@ from avscene import tensor as T
 from avscene.backbone import BackboneConfig
 from avscene.errors import ConfigurationError, DataError, NumericError
 from avscene.fusion import AttentionFusion
+from avscene.gcn import gcn_layer, graph_readout, propagation_matrix
+from avscene.graphs import build_scene_graphs
 from avscene.model import (
     RETIRED_KEYS,
     SGD,
@@ -83,6 +85,54 @@ class TestWholeModelGradient:
                 if name.startswith(prefix) and p.grad is not None
             ]
             assert grads and max(grads) > 0.0, prefix
+
+
+def per_sample_features(model, x):
+    """``SceneModel.features`` with one ``gcn_layer`` per sample and graph."""
+    pyramid = model.backbone.forward(T.cast(x, model.registry.dtype))
+    f_ffr = model.fusion.forward(pyramid.f_m4, pyramid.f_m5)
+    rows, graphs = [], []
+    for i in range(x.data.shape[0]):
+        pair = build_scene_graphs(T.slice_batch(f_ffr, i), model.config.k_nodes)
+        graphs.append(pair)
+        outputs = [
+            gcn_layer(graph.node_features, propagation_matrix(graph.adjacency), model.thetas[b])
+            for b, graph in zip(("sag", "cag"), pair)
+        ]
+        rows.append(graph_readout(*outputs))
+    return T.concat([T.concat(rows, axis=0), pyramid.embedding], axis=1), graphs
+
+
+class TestBatchedGraphStage:
+    # theta_rel: measured at most 2.3e-7 (float32) and 4e-16 (float64) on seeds 0-4
+    @pytest.mark.parametrize("dtype, theta_rel", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    def test_matches_a_per_sample_loop(self, dtype, theta_rel):
+        model = SceneModel.build(ModelConfig.tiny(seed=5), registry=T.ParamRegistry(dtype))
+        rng = np.random.default_rng(5)
+        model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
+        examples = synth_dataset("audio", 4, 8, seed=6)
+        x = T.Tensor(np.stack([e.x for e in examples]))
+        runs = []
+        for features in (model.features, lambda x: per_sample_features(model, x)):
+            model.registry.zero_grad()
+            feats, graphs = features(x)
+            logits = T.linear(feats, model.head_weight, model.head_bias)
+            T.softmax_cross_entropy(logits, [e.label for e in examples]).backward()
+            indices = [g.flat_indices for pair in graphs for g in pair]
+            grads = {name: p.grad.copy() for name, p in model.registry.items()}
+            runs.append((feats.data, logits.data, indices, grads))
+        (feats, logits, indices, grads), (feats1, logits1, indices1, grads1) = runs
+        assert feats.dtype == dtype
+        assert np.array_equal(feats, feats1) and np.array_equal(logits, logits1)
+        assert len(indices) == 16
+        assert all(np.array_equal(a, b) for a, b in zip(indices, indices1))
+        for name, g in grads.items():
+            if name.startswith("gcn."):
+                # One GEMM over N*K rows against a sum of per-sample products.
+                err = np.max(np.abs(g - grads1[name])) / np.max(np.abs(grads1[name]))
+                assert err <= theta_rel, (name, err)
+            else:
+                assert np.array_equal(g, grads1[name]), name
 
 
 def tape_nodes(root):

@@ -5,12 +5,15 @@ import inspect
 import itertools
 import math
 import pkgutil
+import re
 import tracemalloc
 import weakref
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avscene import tensor as T
 from avscene.errors import ConfigurationError, DataError
@@ -240,10 +243,13 @@ class TestConv2dBackward:
         assert 0.25 < positive < 0.75  # both ReLU sides, in about equal share
 
     @staticmethod
-    def check(rng, n, c, o, k, stride, pad, h, wd):
-        """Compare forward and gradients in every mode; returns the pre-activation."""
+    def check(rng, n, c, o, k, stride, pad, h, wd, kw=None):
+        """Compare forward and gradients in every mode; returns the pre-activation.
+
+        The kernel is k x k, or k x kw when kw is given.
+        """
         x = rng.standard_normal((n, c, h, wd))
-        w = rng.standard_normal((o, c, k, k))
+        w = rng.standard_normal((o, c, k, kw or k))
         b = rng.standard_normal(o)
         s = rng.standard_normal(o)
         pre = naive_conv2d(x, w, b, stride, pad, scale=s)
@@ -265,6 +271,103 @@ class TestConv2dBackward:
                     assert gv is not None
                     assert_rel_close(gv, wv)
         return pre
+
+
+@st.composite
+def conv_geometries(draw):
+    """(n, c, o, kh, kw, stride, padding, h, w) with the kernel inside the padded input."""
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    h0, w0 = max(1, kh - 2 * pad), max(1, kw - 2 * pad)
+    h = draw(st.integers(h0, h0 + 2 * stride + 1))
+    w = draw(st.integers(w0, w0 + 2 * stride + 1))
+    n, c, o = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return n, c, o, kh, kw, stride, pad, h, w
+
+
+def read_cells(h, wd, kh, kw, stride, pad):
+    """Boolean [H,W]: the input cells that some conv window reads."""
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    read = np.zeros((h + 2 * pad, wd + 2 * pad), dtype=bool)
+    for yo in range(ho):
+        for xo in range(wo):
+            read[yo * stride : yo * stride + kh, xo * stride : xo * stride + kw] = True
+    return read[pad : pad + h, pad : pad + wd]
+
+
+class TestConv2dGeometry:
+    """The phase-plane columns against the loop references, and what no window reads."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(geometry=conv_geometries(), seed=st.integers(0, 2**32 - 1))
+    # Kernels that are not square, on sizes where (hp - kh) is not a
+    # multiple of the stride, so the last rows and columns go unread.
+    @example(geometry=(2, 2, 3, 3, 2, 2, 0, 6, 5), seed=1)
+    @example(geometry=(1, 3, 2, 7, 3, 2, 3, 10, 7), seed=2)
+    @example(geometry=(2, 1, 2, 2, 5, 3, 1, 6, 8), seed=3)
+    @example(geometry=(1, 2, 2, 1, 4, 3, 2, 5, 4), seed=4)
+    @example(geometry=(2, 2, 1, 5, 1, 1, 3, 2, 6), seed=5)
+    def test_matches_loop_reference(self, geometry, seed):
+        n, c, o, kh, kw, stride, pad, h, wd = geometry
+        rng = np.random.default_rng(seed)
+        TestConv2dBackward.check(rng, n, c, o, kh, stride, pad, h, wd, kw=kw)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "h, wd, k, stride, pad",
+        [
+            (6, 5, 3, 2, 0),  # the last row
+            (5, 6, 3, 2, 0),  # the last column
+            (7, 7, 2, 2, 0),  # both
+            (7, 8, 1, 2, 1),  # every other row and column: the kernel is narrower than the stride
+            (6, 5, 3, 3, 1),  # the last input row, inside the padding's frame
+        ],
+    )
+    def test_unread_cells_reach_no_output_or_gradient(self, h, wd, k, stride, pad, dtype):
+        rng = np.random.default_rng(h * 100 + wd * 10 + k)
+        read = read_cells(h, wd, k, k, stride, pad)
+        assert not read.all()
+        x = rng.standard_normal((2, 2, h, wd)).astype(dtype)
+        w = rng.standard_normal((3, 2, k, k)).astype(dtype)
+        b, s = rng.standard_normal((2, 3)).astype(dtype)
+        ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+        g, r = rng.standard_normal((2, 2, 3, ho, wo)).astype(dtype)
+        runs = []
+        for fill in (np.nan, 0.0):
+            xf = x.copy()
+            xf[:, :, ~read] = fill
+            runs.append(conv2d_grads(xf, w, g, stride, pad, b, s, True, r))
+        # out, dx, dw, dscale, dbias, dresidual
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+        assert np.all(runs[0][1][:, :, ~read] == 0.0)
+
+    def test_unpadded_1x1_stride_1_columns_are_the_input(self):
+        x = np.random.default_rng(8).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        taps = T._tap_layout(4, 5, 1, 1, 1, 0)
+        cols = T._im2col(x, taps)
+        assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
+
+
+class TestBatchedMatrixApply:
+    def test_one_matrix_applies_to_every_item(self):
+        rng = np.random.default_rng(59)
+        m = rng.standard_normal((4, 4))
+        x = rng.standard_normal((3, 4, 2)).astype(np.float32)
+        one = T.batched_matrix_apply(m, T.Tensor(x)).data
+        per_item = T.batched_matrix_apply(np.stack([m] * 3), T.Tensor(x)).data
+        assert one.dtype == np.float32 and np.array_equal(one, per_item)
+        for i in range(3):
+            single = T.batched_matrix_apply(m, T.Tensor(x[i : i + 1])).data
+            assert np.array_equal(one[i : i + 1], single)
+
+    @pytest.mark.parametrize("m_shape", [(3, 3), (3, 4, 4), (2, 4, 3), (4,)])
+    def test_shape_error_names_both_shapes(self, m_shape):
+        x = T.Tensor(np.zeros((2, 4, 3)))
+        want = re.escape(f"m {m_shape} does not fit x (2, 4, 3)")
+        with pytest.raises(ConfigurationError, match=want):
+            T.batched_matrix_apply(np.zeros(m_shape), x)
 
 
 class TestLinearRank3:
@@ -530,6 +633,7 @@ class TestAutodiff:
             "channel_scale",
             "gather_pixels",
             "batched_matrix_apply",
+            "batched_matrix_apply_per_item",
             "concat_slice",
             "softmax_cross_entropy",
         ],
@@ -601,6 +705,10 @@ class TestAutodiff:
             fn = lambda: T.total_sum(T.sigmoid(T.gather_pixels(x, [0, 5, 5, 15])))
         elif name == "batched_matrix_apply":
             m = rng.standard_normal((4, 4))
+            x = reg.register("x", rng.standard_normal((2, 4, 3)))
+            fn = lambda: T.total_sum(T.sigmoid(T.batched_matrix_apply(m, x)))
+        elif name == "batched_matrix_apply_per_item":
+            m = rng.standard_normal((2, 4, 4))
             x = reg.register("x", rng.standard_normal((2, 4, 3)))
             fn = lambda: T.total_sum(T.sigmoid(T.batched_matrix_apply(m, x)))
         elif name == "concat_slice":
@@ -874,8 +982,9 @@ class TestDtypes:
         T.total_sum(out).backward()
         assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
         # _accumulate would cast a float64 input gradient back; check col2im itself.
-        dcols = np.ones((1, 2 * 3 * 3, 4), dtype=np.float32)
-        assert T._col2im(dcols, (1, 2, 4, 4), 3, 3, 1, 2, 2).dtype == np.float32
+        taps = T._tap_layout(6, 5, 3, 3, 2, padding)
+        dcols = np.ones((2, 3 * 3 * 3, taps.ho * taps.wq), dtype=np.float32)
+        assert T._col2im(dcols, (2, 3, 6, 5), taps).dtype == np.float32
 
 
 class TestModuleSurface:
