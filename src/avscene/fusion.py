@@ -1,7 +1,12 @@
 """Gated fusion of the two deepest backbone maps into one refined map.
 
-The deeper map is upsampled to the shallower map's grid and projected to its
-channel count by a 1x1 convolution; a per-sample, per-channel sigmoid gate,
+The deeper map is projected to the shallower map's channel count by a 1x1
+convolution at its own resolution and then upsampled to the shallower map's
+grid. That is the same map as upsampling first, at a quarter of the
+projection's cost: the 1x1 convolution mixes channels cell by cell, and
+bilinear resampling is one linear map per channel whose interpolation rows
+sum to 1, so the two commute and the bias passes through unchanged; only
+round-off differs. A per-sample, per-channel sigmoid gate,
 computed from globally pooled statistics of both maps, convexly blends them.
 Saturating the gate recovers the shallow map exactly, which makes the module
 easy to test.
@@ -54,9 +59,8 @@ class AttentionFusion:
             raise ConfigurationError(
                 f"deep map {h5}x{w5} is not the ceil-half of {h4}x{w4}"
             )
-        up = bilinear_upsample(f_m5, h4, w4)
         proj_kernel = reshape(self.proj_weight, (c4, c5, 1, 1))
-        proj = conv2d(up, proj_kernel, self.proj_bias)
+        proj = bilinear_upsample(conv2d(f_m5, proj_kernel, self.proj_bias), h4, w4)
 
         pooled = global_avg_pool(concat([f_m4, proj], axis=1))
         gate = sigmoid(linear(pooled, self.gate_weight, self.gate_bias))

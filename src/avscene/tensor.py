@@ -19,6 +19,7 @@ of wo cells. The matrix products run on ho·wq columns per channel: the
 wq - wo extra columns of each output row are dropped in the forward, and
 get a zero gradient in the backward, which adds each tap's column gradient
 back into the planes. The planes hold only cells that some window reads.
+An unpadded 1x1 kernel builds no plane: its one tap is x[:, :, ::s, ::s].
 
 Gradients are computed by recording a tape of backward closures during the
 forward pass and replaying it in reverse topological order. The replay
@@ -401,8 +402,8 @@ class _TapLayout:
 
     @property
     def one_tap(self) -> bool:
-        """A 1x1 stride-1 kernel: its one tap is its whole plane."""
-        return self.stride == self.kh == self.kw == 1
+        """An unpadded 1x1 kernel: its one tap is x[:, :, ::s, ::s], and no plane is built."""
+        return self.kh == self.kw == 1 and self.padding == 0
 
 
 @functools.lru_cache(maxsize=256)
@@ -439,11 +440,15 @@ def _im2col(x: np.ndarray, t: _TapLayout) -> np.ndarray:
     """[N, C·kh·kw, ho·wq] columns of x: row (c, i, j) is tap (i, j)'s slice of c's planes.
 
     The row-phase planes are zero-padded and hold only the cells that
-    windows read; x itself is the one plane when ``is_x``, and the columns
-    of a 1x1 stride-1 kernel are its planes. Otherwise the taps of one row
-    phase are one strided view of its plane, copied.
+    windows read; x itself is the one plane when ``is_x``. An unpadded 1x1
+    kernel's columns are x[:, :, ::s, ::s]: x itself at stride 1, one copy
+    otherwise. Else the taps of one row phase are one strided view of its
+    plane, copied.
     """
     n, c, _, _ = x.shape
+    s = t.stride
+    if t.one_tap:
+        return np.ascontiguousarray(x[:, :, ::s, ::s]).reshape(n, c, -1)
     if t.is_x:
         planes = np.ascontiguousarray(x).reshape(n, c, -1)
     else:
@@ -452,9 +457,7 @@ def _im2col(x: np.ndarray, t: _TapLayout) -> np.ndarray:
         cols = slice(t.padding, t.padding + t.read_w)
         for phase, plane_rows, ys in t.fills:
             rows[:, :, phase, plane_rows, cols] = x[:, :, ys, : t.read_w]
-    if t.one_tap:
-        return planes
-    s, span = t.stride, t.ho * t.wq
+    span = t.ho * t.wq
     taps = np.empty((n, c, t.kh, t.kw, span), dtype=x.dtype)
     sn, sc, se = planes.strides
     for phase in range(t.phases):
@@ -470,17 +473,21 @@ def _col2im(dcols: np.ndarray, shape, t: _TapLayout) -> np.ndarray:
 
     Each tap's row adds into its slice of the row-phase planes, in tap
     order; the planes' cells then go back to their places in x, and every
-    cell of x that no window reads gets 0.
+    cell of x that no window reads gets 0. An unpadded 1x1 kernel's columns
+    are the gradient of x[:, :, ::s, ::s] itself.
     """
     n, c, _, _ = shape
     s, span = t.stride, t.ho * t.wq
     if t.one_tap:
-        dplanes = dcols
-    else:
-        dplanes = np.zeros((n, c, t.phases * t.plane), dtype=dcols.dtype)
-        taps = dcols.reshape(n, c, len(t.offsets), span)
-        for k, start in enumerate(t.offsets):
-            dplanes[:, :, start : start + s * (span - 1) + 1 : s] += taps[:, :, k]
+        if s == 1:
+            return dcols.reshape(shape)
+        dx = np.zeros(shape, dtype=dcols.dtype)
+        dx[:, :, ::s, ::s] = dcols.reshape(n, c, t.ho, t.wo)
+        return dx
+    dplanes = np.zeros((n, c, t.phases * t.plane), dtype=dcols.dtype)
+    taps = dcols.reshape(n, c, len(t.offsets), span)
+    for k, start in enumerate(t.offsets):
+        dplanes[:, :, start : start + s * (span - 1) + 1 : s] += taps[:, :, k]
     if t.is_x:
         return dplanes.reshape(shape)
     rows = _plane_rows(dplanes, t)
@@ -508,7 +515,7 @@ def conv2d(
     (``_TapLayout``), so each output row has wq - wo extra columns: the
     matrix products run on ho·wq columns, the forward drops the extra ones
     and the backward zero-pads the output gradient to match. An unpadded
-    1x1 stride-1 conv uses x itself as its columns.
+    1x1 conv reads its columns straight from x[:, :, ::s, ::s].
 
     The affine, the residual sum and the ReLU run in place, in that order, on
     the matrix product's fresh output, so the tape keeps only that output:
@@ -571,7 +578,9 @@ def conv2d(
         scaled = scale is not None
         if w.requires_grad or (scaled and scale.requires_grad):
             cols = _im2col(x.data, layout)
-            gw = np.matmul(gq, cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(gq, cols.transpose(0, 2, 1))
+            # One item's product is the whole gradient: a sum over it would only copy it.
+            gw = gw[0] if n == 1 else gw.sum(axis=0)
             del cols  # freed before the input gradient's buffers are made
             if scaled and scale.requires_grad:
                 _accumulate(scale, np.einsum("ok,ok->o", gw, w2), fresh=True)
@@ -760,7 +769,8 @@ class ParamRegistry:
 
     Every parameter has the registry's ``dtype``, float32 or float64: an
     array is cast to it on registration, and a Tensor of another dtype is
-    rejected.
+    rejected. Its data is stored C-contiguous, so that ``reshape(-1)`` is a
+    view that an in-place update (``SGD.step``) writes through.
     """
 
     def __init__(self, dtype=np.float64):
@@ -780,6 +790,7 @@ class ParamRegistry:
             raise ConfigurationError(
                 f"parameter {name}: dtype {value.data.dtype} != registry dtype {self.dtype}"
             )
+        value.data = np.asarray(value.data, order="C")
         value.requires_grad = True
         self._entries[name] = value
         return value

@@ -65,9 +65,8 @@ class TestBehavior:
         with T.no_grad():
             out = fusion.forward(f4, f5)
             # Recompute the projected map to bound the blend.
-            up = T.bilinear_upsample(f5, 6, 4)
             kernel = T.reshape(fusion.proj_weight, (4, 8, 1, 1))
-            proj = T.conv2d(up, kernel, fusion.proj_bias)
+            proj = T.bilinear_upsample(T.conv2d(f5, kernel, fusion.proj_bias), 6, 4)
         lo = np.minimum(f4.data, proj.data)
         hi = np.maximum(f4.data, proj.data)
         assert np.all(out.data >= lo - 1e-12)
@@ -100,3 +99,35 @@ class TestBehavior:
 
         report = T.finite_diff_check(registry, loss, epsilon=1e-5)
         assert report.max_relative_error < 1e-5, report.per_param
+
+
+def upsample_first_forward(fusion, f4, f5):
+    """The fusion output with f5 upsampled before the 1x1 projection."""
+    n, c4, h4, w4 = f4.shape
+    kernel = T.reshape(fusion.proj_weight, (c4, fusion.c5, 1, 1))
+    proj = T.conv2d(T.bilinear_upsample(f5, h4, w4), kernel, fusion.proj_bias)
+    pooled = T.global_avg_pool(T.concat([f4, proj], axis=1))
+    gate = T.sigmoid(T.linear(pooled, fusion.gate_weight, fusion.gate_bias))
+    g = gate.data[:, :, None, None]
+    return f4.data * g + proj.data * (1.0 - g)
+
+
+class TestProjectionOrder:
+    """Projecting at the deep map's resolution, then upsampling, is the same map."""
+
+    @pytest.mark.parametrize("h4, w4", [(6, 4), (7, 5)])
+    def test_matches_upsampling_first(self, h4, w4):
+        registry, fusion = make_fusion(4, 8, seed=9)
+        rng = np.random.default_rng(h4 * 10 + w4)
+        fusion.proj_bias.data[:] = rng.uniform(-2.0, 2.0, 4)
+        fusion.gate_bias.data[:] = rng.uniform(-1.0, 1.0, 4)
+        f4 = T.Tensor(rng.standard_normal((2, 4, h4, w4)))
+        f5 = T.Tensor(rng.standard_normal((2, 8, (h4 + 1) // 2, (w4 + 1) // 2)))
+        with T.no_grad():
+            kernel = T.reshape(fusion.proj_weight, (4, 8, 1, 1))
+            late = T.bilinear_upsample(T.conv2d(f5, kernel, fusion.proj_bias), h4, w4)
+            early = T.conv2d(T.bilinear_upsample(f5, h4, w4), kernel, fusion.proj_bias)
+            out = fusion.forward(f4, f5).data
+        for got, want in ((late.data, early.data), (out, upsample_first_forward(fusion, f4, f5))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -509,6 +510,86 @@ class TestSGD:
         for name, p in reg.items():
             assert np.array_equal(p.data, before[name][0]), name
             assert np.array_equal(optimizer.velocity[name], before[name][1]), name
+
+    @staticmethod
+    def blocked_registry():
+        """float32, with a middle parameter longer than a block and not a multiple of it."""
+        reg = T.ParamRegistry(np.float32)
+        rng = np.random.default_rng(11)
+        reg.register("a", rng.standard_normal(5))
+        reg.register("big", rng.standard_normal((3, 2 * M._SGD_BLOCK // 3 + 7)))
+        reg.register("last", rng.standard_normal((4, 3)))
+        return reg
+
+    def test_blocked_update_is_bit_identical_to_whole_array_passes(self):
+        reg = self.blocked_registry()
+        assert reg["big"].data.size > M._SGD_BLOCK and reg["big"].data.size % M._SGD_BLOCK
+        optimizer = SGD(reg, momentum=0.9)
+        rng = np.random.default_rng(12)
+        want = {name: p.data.copy() for name, p in reg.items()}
+        velocity = {name: np.zeros_like(p.data) for name, p in reg.items()}
+        for lr in (0.1, 0.05, 0.01):
+            for name, p in reg.items():
+                p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+                v = velocity[name]
+                v *= 0.9
+                v += p.grad
+                want[name] -= lr * v
+            optimizer.step(lr)
+        for name, p in reg.items():
+            assert np.array_equal(optimizer.velocity[name], velocity[name]), name
+            assert np.array_equal(p.data, want[name]), name
+
+    def test_nan_in_the_last_gradient_changes_nothing(self):
+        reg = self.blocked_registry()
+        optimizer = SGD(reg)
+        for p in reg.tensors():
+            p.grad = np.ones_like(p.data)
+        optimizer.step(0.1)  # non-zero velocities
+        before = {
+            name: (p.data.copy(), optimizer.velocity[name].copy())
+            for name, p in reg.items()
+        }
+        reg["last"].grad[3, 2] = np.nan
+        with pytest.raises(NumericError, match="gradient for last;"):
+            optimizer.step(0.1)
+        for name, p in reg.items():
+            assert np.array_equal(p.data, before[name][0]), name
+            assert np.array_equal(optimizer.velocity[name], before[name][1]), name
+
+    def test_finite_gradient_whose_squares_overflow_steps(self):
+        reg = self.blocked_registry()
+        want = reg["big"].data - np.float32(1e-30) * np.float32(1e30)
+        for p in reg.tensors():
+            p.grad = np.zeros_like(p.data)
+        reg["big"].grad[:] = 1e30  # g·g overflows float32
+        SGD(reg).step(1e-30)
+        assert np.array_equal(reg["big"].data, want)
+
+    def test_parameter_registered_in_another_layout_is_updated(self):
+        # The update writes through a flat view of each parameter, so the
+        # registry stores parameters C-contiguous.
+        reg = T.ParamRegistry(np.float32)
+        w = reg.register("w", np.arange(6.0, dtype=np.float32).reshape(2, 3).T)
+        assert w.data.flags.c_contiguous
+        w.grad = np.ones((3, 2), dtype=np.float32)
+        SGD(reg).step(0.5)
+        assert np.array_equal(w.data, np.arange(6.0).reshape(2, 3).T - 0.5)
+
+    def test_step_allocates_at_most_one_block(self):
+        # lr·v goes through the preallocated scratch block; a whole-parameter
+        # lr * v would allocate 16 MiB here.
+        reg = T.ParamRegistry(np.float32)
+        reg.register("w", np.ones(4 * 1024 * 1024, dtype=np.float32))
+        optimizer = SGD(reg)
+        reg["w"].grad = np.ones_like(reg["w"].data)
+        tracemalloc.start()
+        try:
+            optimizer.step(0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * M._SGD_BLOCK + 64 * 1024, peak
 
     @pytest.mark.parametrize("lr", [0.0, -0.01])
     def test_non_positive_lr_rejected(self, lr):

@@ -349,6 +349,33 @@ class TestConv2dGeometry:
         cols = T._im2col(x, taps)
         assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
 
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_unpadded_strided_1x1_columns_are_the_strided_input(self, stride):
+        x = np.random.default_rng(8).standard_normal((2, 3, 7, 5)).astype(np.float32)
+        cols = T._im2col(x, T._tap_layout(7, 5, 1, 1, stride, 0))
+        assert np.array_equal(cols, x[:, :, ::stride, ::stride].reshape(2, 3, -1))
+
+    @pytest.mark.parametrize(
+        "k, stride, pad, h, wd",
+        [(1, 1, 0, 6, 5), (1, 2, 0, 7, 6), (3, 1, 1, 6, 5), (3, 2, 1, 7, 6), (7, 2, 3, 11, 9)],
+    )
+    def test_one_item_weight_gradients_are_the_batch_sum_bit_for_bit(self, k, stride, pad, h, wd):
+        # With one item the backward hands over its product uncopied; that
+        # must equal the sum over a batch of one, scale gradient included.
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        x = rng.standard_normal((1, 3, h, wd)).astype(np.float32)
+        w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+        b, s = rng.standard_normal((2, 4)).astype(np.float32)
+        layout = T._tap_layout(h, wd, k, k, stride, pad)
+        g = rng.standard_normal((1, 4, layout.ho, layout.wo)).astype(np.float32)
+        _, _, dw, dscale, _, _ = conv2d_grads(x, w, g, stride, pad, b, s)
+        gq = np.zeros((1, 4, layout.ho, layout.wq), dtype=np.float32)
+        gq[..., : layout.wo] = g
+        cols = T._im2col(x, layout)
+        gw = np.matmul(gq.reshape(1, 4, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(dscale, np.einsum("ok,ok->o", gw, w.reshape(4, -1)))
+        assert np.array_equal(dw, (gw * s[:, None]).reshape(w.shape))
+
 
 class TestBatchedMatrixApply:
     def test_one_matrix_applies_to_every_item(self):
@@ -796,6 +823,24 @@ class TestTapeRelease:
         # The output is 128 KiB and 1.01x of it stays traced; keeping the
         # columns, 9x the input, held 10.0x.
         assert out.data.nbytes <= kept <= 1.1 * out.data.nbytes, kept / out.data.nbytes
+
+    def test_one_item_1x1_backward_makes_one_weight_sized_array(self):
+        # Beyond the input gradient, the backward of a one-item 1x1 conv
+        # allocates its weight gradient and no copy of it for a batch sum.
+        rng = np.random.default_rng(59)
+        x = T.Tensor(rng.standard_normal((1, 512, 4, 4)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((512, 512, 1, 1)).astype(np.float32), requires_grad=True)
+        loss = T.total_sum(T.conv2d(x, w))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1 MiB of weight gradient and 32 KiB of input gradient; a second
+        # weight-sized array would take the peak past 2 MiB.
+        limit = w.data.nbytes + x.data.nbytes + w.data.nbytes // 4
+        assert peak <= limit, peak / w.data.nbytes
 
     def test_second_backward_on_same_root_raises(self):
         x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
