@@ -79,6 +79,7 @@ def load_wav(path) -> AudioClip:
             fmt_offset = body_start
         elif chunk_id == b"data":
             data = raw[body_start : body_start + chunk_size]
+            data_offset = pos
         pos = body_start + chunk_size + (chunk_size & 1)
     if fmt is None:
         raise DataError(f"{path}: no fmt chunk before byte {len(raw)}")
@@ -93,7 +94,11 @@ def load_wav(path) -> AudioClip:
         raise DataError(f"{path}: need 16-bit samples, got {bits}")
     if channels not in (1, 2):
         raise DataError(f"{path}: need mono or stereo, got {channels} channels")
+    if sample_rate == 0:
+        raise DataError(f"{path}: sample rate 0 at byte {fmt_offset + 4}")
     frames = len(data) // (2 * channels)
+    if frames == 0:
+        raise DataError(f"{path}: data chunk at byte {data_offset} holds no sample frame")
     ints = np.frombuffer(data, dtype="<i2", count=frames * channels)
     samples = ints.astype(np.float64) / 32768.0
     if channels == 2:
@@ -205,18 +210,16 @@ def _hann(window: int) -> np.ndarray:
 
 def extract_logmel(
     clip: AudioClip,
-    window: int = 1024,
     hop: int = 400,
     n_mels: int = 64,
     n_fft: int = 1024,
 ) -> LogMelSpectrogram:
     """STFT power -> mel filterbank -> ln(x + 1e-10).
 
-    Center framing with reflect padding, so the frame count is
+    Each frame is tapered by an n_fft-point periodic Hann window. Center
+    framing with reflect padding, so the frame count is
     1 + floor(num_samples / hop).
     """
-    if window > n_fft:
-        raise ConfigurationError(f"window {window} exceeds n_fft {n_fft}")
     if hop < 1:
         raise ConfigurationError(f"hop must be >= 1, got {hop}")
     samples = clip.samples
@@ -229,12 +232,7 @@ def extract_logmel(
     # also for odd n_fft.
     pad = n_fft // 2
     padded = np.pad(samples, (pad, n_fft - pad), mode="reflect")
-    taper = _hann(window)
-    if window < n_fft:
-        centered = np.zeros(n_fft)
-        start = (n_fft - window) // 2
-        centered[start : start + window] = taper
-        taper = centered
+    taper = _hann(n_fft)
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     n_frames = windows.shape[0]
     # Tapered frames and their spectra are made one block of rows at a time.
@@ -259,15 +257,15 @@ def extract_logmel(
 
 
 def load_image(path, size: int | None = None) -> Tensor:
-    """Read a PPM/PGM image as Tensor[3,H,W] scaled to [0,1].
+    """Read a PPM/PGM image as Tensor[3,H,W], divided by the file's maxval into [0,1].
 
     Grayscale images are replicated across the three channels; ``size``
     triggers a bilinear resize to size x size.
     """
-    pixels = read_pnm(path)
+    pixels, maxval = read_pnm(path)
     if pixels.ndim == 2:
         pixels = np.repeat(pixels[:, :, None], 3, axis=2)
-    chw = pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+    chw = pixels.astype(np.float64).transpose(2, 0, 1) / maxval
     if size is not None and chw.shape[1:] != (size, size):
         chw = bilinear_resize_array(chw, size, size)
     return Tensor(chw)

@@ -16,7 +16,6 @@ the edge weights, vary per sample.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,9 @@ from .tensor import Tensor, gather_pixels
 
 @dataclass
 class SceneGraph:
-    kind: str  # "salient" or "contextual"
     node_features: Tensor  # [1, K, C]
     flat_indices: np.ndarray  # [K], ascending row-major grid indices
     adjacency: np.ndarray  # [K, K], symmetric, zero diagonal
-    h: int
-    w: int
 
 
 def _validate_k(k: int, cells: int) -> None:
@@ -90,39 +86,9 @@ def build_scene_graphs(f_ffr: Tensor, k: int):
         raise ConfigurationError(
             f"build_scene_graphs expects a [1,C,H,W] map, got {f_ffr.data.shape}"
         )
-    _, _, h, w = f_ffr.data.shape
+    w = f_ffr.data.shape[3]
     salient, contextual = select_nodes(f_ffr.data.sum(axis=1).reshape(-1), k)
     return tuple(
-        SceneGraph(kind, gather_pixels(f_ffr, idx), idx, adjacency(idx, w), h, w)
-        for kind, idx in (("salient", salient), ("contextual", contextual))
-    )
-
-
-def export_graphs_json(salient: SceneGraph, contextual: SceneGraph) -> str:
-    """Serialize both graphs for the visualizer and debugging.
-
-    Nodes are listed salient-first; edge endpoints index this combined node
-    array, so contextual edges are offset by k.
-    """
-    k = len(salient.flat_indices)
-    nodes = [
-        {
-            "rank": rank,
-            "flat_idx": int(flat),
-            "x": int(flat) % g.w,
-            "y": int(flat) // g.w,
-            "kind": g.kind,
-        }
-        for g in (salient, contextual)
-        for rank, flat in enumerate(g.flat_indices)
-    ]
-    pairs = np.argwhere(np.triu(edge_mask(k)))
-    edges = [
-        {"i": int(i) + offset, "j": int(j) + offset, "weight": float(g.adjacency[i, j])}
-        for offset, g in ((0, salient), (k, contextual))
-        for i, j in pairs
-    ]
-    return json.dumps(
-        {"h": salient.h, "w": salient.w, "k": k, "nodes": nodes, "edges": edges},
-        indent=2,
+        SceneGraph(gather_pixels(f_ffr, idx), idx, adjacency(idx, w))
+        for idx in (salient, contextual)
     )

@@ -31,8 +31,11 @@ def _read_token(raw: bytes, pos: int) -> tuple[bytes, int]:
     return raw[start:pos], pos
 
 
-def read_pnm(path) -> np.ndarray:
-    """Read P5 -> uint8[H,W] or P6 -> uint8[H,W,3]."""
+def read_pnm(path) -> tuple[np.ndarray, int]:
+    """Read P5 -> uint8[H,W] or P6 -> uint8[H,W,3], with the header's maxval.
+
+    A sample above maxval is rejected, so pixels / maxval lies in [0, 1].
+    """
     with open(path, "rb") as f:
         raw = f.read()
     magic, pos = _read_token(raw, 0)
@@ -56,9 +59,14 @@ def read_pnm(path) -> np.ndarray:
             f"{path}: PNM payload ends at byte {len(raw)}, expected {pos + expected}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
-    if channels == 3:
-        return pixels.reshape(height, width, 3)
-    return pixels.reshape(height, width)
+    over = np.flatnonzero(pixels > maxval)
+    if over.size:
+        raise DataError(
+            f"{path}: sample {pixels[over[0]]} exceeds maxval {maxval} "
+            f"at byte {pos + over[0]}"
+        )
+    shape = (height, width, 3) if channels == 3 else (height, width)
+    return pixels.reshape(shape), maxval
 
 
 def write_ppm(path, image: np.ndarray) -> None:

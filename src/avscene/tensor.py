@@ -396,11 +396,6 @@ class _TapLayout:
         return min(self.stride, self.kh)
 
     @property
-    def is_x(self) -> bool:
-        """Unpadded, stride 1 and kw == 1: x itself is the one plane."""
-        return self.stride == self.kw == 1 and self.padding == 0
-
-    @property
     def one_tap(self) -> bool:
         """An unpadded 1x1 kernel: its one tap is x[:, :, ::s, ::s], and no plane is built."""
         return self.kh == self.kw == 1 and self.padding == 0
@@ -440,23 +435,19 @@ def _im2col(x: np.ndarray, t: _TapLayout) -> np.ndarray:
     """[N, C·kh·kw, ho·wq] columns of x: row (c, i, j) is tap (i, j)'s slice of c's planes.
 
     The row-phase planes are zero-padded and hold only the cells that
-    windows read; x itself is the one plane when ``is_x``. An unpadded 1x1
-    kernel's columns are x[:, :, ::s, ::s]: x itself at stride 1, one copy
-    otherwise. Else the taps of one row phase are one strided view of its
-    plane, copied.
+    windows read. An unpadded 1x1 kernel's columns are x[:, :, ::s, ::s]:
+    x itself at stride 1, one copy otherwise. Else the taps of one row phase
+    are one strided view of its plane, copied.
     """
     n, c, _, _ = x.shape
     s = t.stride
     if t.one_tap:
         return np.ascontiguousarray(x[:, :, ::s, ::s]).reshape(n, c, -1)
-    if t.is_x:
-        planes = np.ascontiguousarray(x).reshape(n, c, -1)
-    else:
-        planes = np.zeros((n, c, t.phases * t.plane), dtype=x.dtype)
-        rows = _plane_rows(planes, t)
-        cols = slice(t.padding, t.padding + t.read_w)
-        for phase, plane_rows, ys in t.fills:
-            rows[:, :, phase, plane_rows, cols] = x[:, :, ys, : t.read_w]
+    planes = np.zeros((n, c, t.phases * t.plane), dtype=x.dtype)
+    rows = _plane_rows(planes, t)
+    cols = slice(t.padding, t.padding + t.read_w)
+    for phase, plane_rows, ys in t.fills:
+        rows[:, :, phase, plane_rows, cols] = x[:, :, ys, : t.read_w]
     span = t.ho * t.wq
     taps = np.empty((n, c, t.kh, t.kw, span), dtype=x.dtype)
     sn, sc, se = planes.strides
@@ -488,8 +479,6 @@ def _col2im(dcols: np.ndarray, shape, t: _TapLayout) -> np.ndarray:
     taps = dcols.reshape(n, c, len(t.offsets), span)
     for k, start in enumerate(t.offsets):
         dplanes[:, :, start : start + s * (span - 1) + 1 : s] += taps[:, :, k]
-    if t.is_x:
-        return dplanes.reshape(shape)
     rows = _plane_rows(dplanes, t)
     dx = np.zeros(shape, dtype=dcols.dtype)
     cols = slice(t.padding, t.padding + t.read_w)
@@ -800,9 +789,6 @@ class ParamRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self):
         return list(self._entries)

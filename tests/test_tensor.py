@@ -1,5 +1,6 @@
 """Tensor core: forward oracles, gradients, serialization."""
 
+import ast
 import importlib
 import inspect
 import itertools
@@ -9,6 +10,7 @@ import re
 import tracemalloc
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1052,3 +1054,53 @@ class TestModuleSurface:
                 imported.update(id(value) for value in vars(module).values())
         unused = {name for name, fn in public.items() if id(fn) not in imported}
         assert unused == {"mul", "total_sum", "finite_diff_check"}
+
+    def test_package_surface_without_a_package_caller_is_pinned(self):
+        # A public top-level function or class that no avscene module names
+        # outside its own definition is an entry point, an input of the
+        # planned command line (wav and image loading, manifests), or test
+        # support. Anything else without a caller is dead code.
+        import avscene
+
+        trees = {
+            path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(avscene.__path__[0]).glob("*.py"))
+        }
+
+        def names_outside(tree, skip):
+            found, stack = set(), [node for node in tree.body if node is not skip]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    found.add(node.name)
+                stack.extend(ast.iter_child_nodes(node))
+            return found
+
+        uncalled = {
+            f"{module}.{node.name}"
+            for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names_outside(t, node) for t in trees.values())
+        }
+        assert uncalled == {
+            "frontend.extract_logmel",
+            "frontend.fix_length",
+            "frontend.load_image",
+            "frontend.load_wav",
+            "frontend.read_manifest",
+            "frontend.resample",
+            "frontend.write_wav",
+            "model.load_checkpoint",
+            "model.save_checkpoint",
+            "model.synth_splits",
+            "pnm.write_ppm",
+            "tensor.finite_diff_check",
+            "tensor.mul",
+            "tensor.total_sum",
+        }
