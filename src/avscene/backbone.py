@@ -56,13 +56,8 @@ class BackboneConfig:
         return cls(in_channels, [4, 8, 8, 16, 32], [1, 1, 1, 1], "basic")
 
     @classmethod
-    def full(cls, in_channels: int = 3, blocks=None) -> "BackboneConfig":
-        return cls(
-            in_channels,
-            [64, 256, 512, 1024, 2048],
-            list(blocks) if blocks is not None else [3, 4, 6, 3],
-            "bottleneck",
-        )
+    def full(cls, in_channels: int = 3) -> "BackboneConfig":
+        return cls(in_channels, [64, 256, 512, 1024, 2048], [3, 4, 6, 3], "bottleneck")
 
 
 @dataclass
@@ -179,17 +174,13 @@ class Backbone:
 
 
 def build_backbone(
-    config: BackboneConfig,
-    seed: int | np.random.Generator = 0,
-    registry: ParamRegistry | None = None,
+    config: BackboneConfig, rng: np.random.Generator, registry: ParamRegistry
 ) -> Backbone:
-    """Register all backbone parameters, deterministically from the seed.
+    """Register every backbone parameter in ``registry``, initialised from ``rng``.
 
-    A Generator ``seed`` is drawn from as it is, so a caller can go on
-    drawing from it after the backbone.
+    The draws advance ``rng`` itself, so a caller can go on drawing from it
+    after the backbone.
     """
-    registry = registry if registry is not None else ParamRegistry()
-    rng = np.random.default_rng(seed)
     c = config.stage_channels
     stem = ConvUnit(registry, rng, "backbone.conv1", config.in_channels, c[0], 7, 2, 3, relu=True)
     stages = []

@@ -91,9 +91,13 @@ def load_wav(path) -> AudioClip:
             f"{path}: not PCM (format {audio_format}) at byte {fmt_offset}"
         )
     if bits != 16:
-        raise DataError(f"{path}: need 16-bit samples, got {bits}")
+        raise DataError(
+            f"{path}: need 16-bit samples, got {bits} at byte {fmt_offset + 14}"
+        )
     if channels not in (1, 2):
-        raise DataError(f"{path}: need mono or stereo, got {channels} channels")
+        raise DataError(
+            f"{path}: need mono or stereo, got {channels} channels at byte {fmt_offset + 2}"
+        )
     if sample_rate == 0:
         raise DataError(f"{path}: sample rate 0 at byte {fmt_offset + 4}")
     frames = len(data) // (2 * channels)

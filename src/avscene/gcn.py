@@ -49,13 +49,10 @@ def gcn_layer(x: Tensor, l_norm: np.ndarray, theta: Tensor) -> Tensor:
 
 
 def graph_readout(y_salient: Tensor, y_contextual: Tensor) -> Tensor:
-    """Flatten both [N,K,C] node tensors and concatenate salient-first."""
+    """Join both [N,K,C] node tensors salient-first along K and flatten each row."""
     if y_salient.data.shape != y_contextual.data.shape:
         raise ConfigurationError(
             f"readout shapes differ: {y_salient.data.shape} vs {y_contextual.data.shape}"
         )
     n, k, c = y_salient.data.shape
-    return concat(
-        [reshape(y_salient, (n, k * c)), reshape(y_contextual, (n, k * c))],
-        axis=1,
-    )
+    return reshape(concat([y_salient, y_contextual], axis=1), (n, 2 * k * c))

@@ -707,14 +707,6 @@ def total_sum(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def softmax_probs(logits) -> np.ndarray:
-    """Row softmax of logits[N,L]; rows sum to 1 (evaluation helper)."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under row softmax.
 
@@ -756,10 +748,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 class ParamRegistry:
     """Ordered name -> trainable Tensor map; iteration is insertion order.
 
-    Every parameter has the registry's ``dtype``, float32 or float64: an
-    array is cast to it on registration, and a Tensor of another dtype is
-    rejected. Its data is stored C-contiguous, so that ``reshape(-1)`` is a
-    view that an in-place update (``SGD.step``) writes through.
+    ``register`` takes an array and wraps it in a new trainable Tensor of the
+    registry's ``dtype``, float32 or float64. Its data is stored
+    C-contiguous, so that ``reshape(-1)`` is a view that an in-place update
+    (``SGD.step``) writes through.
     """
 
     def __init__(self, dtype=np.float64):
@@ -773,16 +765,9 @@ class ParamRegistry:
     def register(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ConfigurationError(f"duplicate parameter name: {name}")
-        if not isinstance(value, Tensor):
-            value = Tensor(np.asarray(value, dtype=self.dtype))
-        elif value.data.dtype != self.dtype:
-            raise ConfigurationError(
-                f"parameter {name}: dtype {value.data.dtype} != registry dtype {self.dtype}"
-            )
-        value.data = np.asarray(value.data, order="C")
-        value.requires_grad = True
-        self._entries[name] = value
-        return value
+        param = Tensor(np.asarray(value, dtype=self.dtype, order="C"), requires_grad=True)
+        self._entries[name] = param
+        return param
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]

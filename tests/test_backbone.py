@@ -16,6 +16,10 @@ from avscene.backbone import (
 from avscene.errors import ConfigurationError
 
 
+def build(config, seed):
+    return build_backbone(config, np.random.default_rng(seed), T.ParamRegistry())
+
+
 def count_params_basic(in_channels, channels, blocks):
     """Closed-form parameter count for the basic-block backbone.
 
@@ -60,22 +64,26 @@ class TestConfig:
 
 class TestBuild:
     def test_same_seed_identical_params(self):
-        a = build_backbone(BackboneConfig.tiny(), seed=5)
-        b = build_backbone(BackboneConfig.tiny(), seed=5)
+        a = build(BackboneConfig.tiny(), 5)
+        b = build(BackboneConfig.tiny(), 5)
         assert a.registry.names() == b.registry.names()
         for name in a.registry.names():
             assert np.array_equal(a.registry[name].data, b.registry[name].data)
 
-    def test_generator_seed_is_drawn_from_as_given(self):
-        a = build_backbone(BackboneConfig.tiny(), seed=5)
-        b = build_backbone(BackboneConfig.tiny(), seed=np.random.default_rng(5))
-        assert a.registry.names() == b.registry.names()
-        for name in a.registry.names():
-            assert np.array_equal(a.registry[name].data, b.registry[name].data), name
+    def test_leaves_the_callers_generator_advanced(self):
+        # SceneModel.build goes on drawing from the same Generator.
+        rng = np.random.default_rng(5)
+        build_backbone(BackboneConfig.tiny(), rng, T.ParamRegistry())
+        after = rng.uniform(size=4)
+        fresh = np.random.default_rng(5)
+        assert not np.array_equal(after, fresh.uniform(size=4))
+        fresh = np.random.default_rng(5)
+        build_backbone(BackboneConfig.tiny(), fresh, T.ParamRegistry())
+        assert np.array_equal(after, fresh.uniform(size=4))
 
     def test_different_seed_differs(self):
-        a = build_backbone(BackboneConfig.tiny(), seed=5)
-        b = build_backbone(BackboneConfig.tiny(), seed=6)
+        a = build(BackboneConfig.tiny(), 5)
+        b = build(BackboneConfig.tiny(), 6)
         assert not np.array_equal(
             a.registry["backbone.conv1.weight"].data,
             b.registry["backbone.conv1.weight"].data,
@@ -83,12 +91,12 @@ class TestBuild:
 
     def test_param_count_matches_formula(self):
         config = BackboneConfig(1, [8, 8, 16, 32, 64], [1, 1, 1, 1], "basic")
-        net = build_backbone(config, seed=0)
+        net = build(config, 0)
         assert net.registry.num_scalars() == count_params_basic(1, config.stage_channels, [1, 1, 1, 1])
 
     def test_full_width_stage_shapes_visual(self):
-        config = BackboneConfig.full(3, blocks=[1, 1, 1, 1])
-        net = build_backbone(config, seed=0)
+        config = BackboneConfig(3, [64, 256, 512, 1024, 2048], [1, 1, 1, 1], "bottleneck")
+        net = build(config, 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((1, 3, 224, 224)) * 0.1)
         with T.no_grad():
             pyramid = net.forward(x)
@@ -99,7 +107,7 @@ class TestBuild:
 
 class TestForward:
     def test_tiny_audio_shapes(self):
-        net = build_backbone(BackboneConfig.tiny(1), seed=1)
+        net = build(BackboneConfig.tiny(1), 1)
         x = T.Tensor(np.random.default_rng(1).standard_normal((2, 1, 201, 64)))
         with T.no_grad():
             pyramid = net.forward(x)
@@ -121,14 +129,14 @@ class TestForward:
 
     def test_zero_input_zero_embedding(self):
         # Affine shifts start at zero, convs have no bias: zeros propagate.
-        net = build_backbone(BackboneConfig.tiny(1), seed=2)
+        net = build(BackboneConfig.tiny(1), 2)
         x = T.Tensor(np.zeros((1, 1, 64, 32)))
         with T.no_grad():
             pyramid = net.forward(x)
         assert np.all(pyramid.embedding.data == 0.0)
 
     def test_wrong_channel_count(self):
-        net = build_backbone(BackboneConfig.tiny(1), seed=0)
+        net = build(BackboneConfig.tiny(1), 0)
         with pytest.raises(ConfigurationError):
             net.forward(T.Tensor(np.zeros((1, 3, 64, 32))))
 
@@ -137,7 +145,7 @@ class TestForward:
             feature_map_dims(2, 2)
 
     def test_gradients_reach_every_parameter(self):
-        net = build_backbone(BackboneConfig.tiny(1), seed=3)
+        net = build(BackboneConfig.tiny(1), 3)
         x = T.Tensor(np.random.default_rng(3).standard_normal((2, 1, 64, 32)))
         pyramid = net.forward(x)
         loss = T.add(T.total_sum(pyramid.f_m4), T.total_sum(pyramid.embedding))
@@ -147,7 +155,7 @@ class TestForward:
             assert np.linalg.norm(p.grad) > 0.0, name
 
     def test_forward_deterministic(self):
-        net = build_backbone(BackboneConfig.tiny(1), seed=4)
+        net = build(BackboneConfig.tiny(1), 4)
         x = T.Tensor(np.random.default_rng(4).standard_normal((1, 1, 64, 32)))
         with T.no_grad():
             a = net.forward(x).f_m5.data
@@ -185,13 +193,13 @@ class TestTape:
         assert taped_nodes(block.forward(x)) == nodes
 
     def test_stem_is_one_node(self):
-        net = build_backbone(BackboneConfig.tiny(1), seed=0)
+        net = build(BackboneConfig.tiny(1), 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32)))
         assert taped_nodes(net.stem.forward(x)) == 1
 
     def test_forward_tape_allocation_stays_bounded(self):
         config = BackboneConfig(1, [8, 16, 16, 32, 64], [1, 1, 1, 1], "bottleneck")
-        net = build_backbone(config, seed=0)
+        net = build(config, 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((2, 1, 64, 64)))
         net.forward(x)  # warm every lazily built cache first
         tracemalloc.start()

@@ -123,6 +123,30 @@ class TestWav:
         with pytest.raises(DataError, match=rf"{re.escape(str(path))}: data chunk at byte 36"):
             fe.load_wav(path)
 
+    @pytest.mark.parametrize(
+        "channels, bits, message",
+        [
+            # The fmt body starts at byte 20: channels at +2, bits at +14.
+            (1, 8, "need 16-bit samples, got 8 at byte 34"),
+            (3, 16, "need mono or stereo, got 3 channels at byte 22"),
+        ],
+        ids=["bits", "channels"],
+    )
+    def test_sample_layout_errors_name_file_and_byte(self, tmp_path, channels, bits, message):
+        import struct
+
+        align = channels * bits // 8
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + 4 * align, b"WAVE",
+            b"fmt ", 16, 1, channels, 8000, 8000 * align, align, bits,
+            b"data", 4 * align,
+        )
+        path = tmp_path / "layout.wav"
+        path.write_bytes(header + bytes(4 * align))
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))}: {message}$"):
+            fe.load_wav(path)
+
 
 class TestResample:
     def test_same_rate_identity(self):

@@ -198,3 +198,36 @@ class TestReadout:
         perm = [2, 0, 1]
         swapped = gcn.graph_readout(T.Tensor(a[perm]), T.Tensor(b[perm])).data
         assert np.array_equal(swapped, base[perm])
+
+    def test_two_tape_nodes_with_the_two_reshape_values_and_gradients(self):
+        # One concat along K and one reshape replace a reshape per graph and
+        # a concat of the rows: one tape node fewer, the same bits.
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2, 3, 4, 5))
+        upstream = T.Tensor(rng.standard_normal((3, 2 * 4 * 5)))
+
+        def two_reshapes(ys, yc):
+            return T.concat([T.reshape(ys, (3, 20)), T.reshape(yc, (3, 20))], axis=1)
+
+        def run(readout):
+            ys, yc = T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)
+            out = readout(ys, yc)
+            nodes = taped_nodes(out)
+            T.total_sum(T.mul(out, upstream)).backward()
+            return nodes, out.data, ys.grad, yc.grad
+
+        got, want = run(gcn.graph_readout), run(two_reshapes)
+        assert (got[0], want[0]) == (2, 3)
+        for value, reference in zip(got[1:], want[1:]):
+            assert np.array_equal(value, reference)
+
+
+def taped_nodes(out):
+    """Count the recorded op nodes reachable from out through ``_parents``."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)

@@ -733,6 +733,35 @@ class TestTrainLabels:
         assert builds == forwards == steps == []
 
 
+class TestBadExamples:
+    # A ragged or non-finite example fails before any model is built or run,
+    # with a DataError naming its split and index.
+    @pytest.mark.parametrize(
+        "index, x, message",
+        [
+            (3, np.zeros((1, 64, 33)), r"shape \(1, 64, 33\) != \(1, 64, 32\) of example 0"),
+            (5, np.full((1, 64, 32), np.nan), "non-finite value in x"),
+        ],
+        ids=["ragged", "non_finite"],
+    )
+    def test_bad_train_example_is_named(self, monkeypatch, index, x, message):
+        dataset = synth_splits("audio", 4, 16, 8, seed=0)
+        dataset.train[index].x = x
+        builds = count_calls(monkeypatch, SceneModel, "build")
+        with pytest.raises(DataError, match=f"train example {index}: {message}"):
+            train(ModelConfig.tiny(epochs=1), dataset)
+        assert builds == []
+
+    def test_evaluate_rejects_a_non_finite_example(self, monkeypatch):
+        examples = synth_dataset("audio", 4, 8, seed=2)
+        examples[6].x[0, 0, 0] = np.inf
+        model = SceneModel.build(ModelConfig.tiny())
+        forwards = count_calls(monkeypatch, SceneModel, "forward")
+        with pytest.raises(DataError, match="evaluation example 6: non-finite"):
+            evaluate(model, examples)
+        assert forwards == []
+
+
 class TestTrainDivergence:
     def test_divergence_is_a_numeric_error_under_warnings_as_errors(self):
         # Warnings are errors here (pyproject's filterwarnings). At lr0=1.0

@@ -625,11 +625,6 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DataError):
             T.softmax_cross_entropy(T.Tensor(np.zeros((1, 3))), [3])
 
-    def test_probs_sum_to_one(self):
-        rng = np.random.default_rng(17)
-        probs = T.softmax_probs(rng.standard_normal((10, 6)) * 30)
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
-
 
 class TestAutodiff:
     def test_quadratic_gradient(self):
@@ -977,14 +972,6 @@ class TestParamRegistry:
         with pytest.raises(ConfigurationError, match="dtype"):
             T.ParamRegistry(dtype)
 
-    def test_rejects_tensor_of_another_dtype(self):
-        reg = T.ParamRegistry(np.float32)
-        with pytest.raises(ConfigurationError, match="stem.weight"):
-            reg.register("stem.weight", T.Tensor(np.zeros(3)))
-        assert "stem.weight" not in reg
-        kept = T.Tensor(np.zeros(3, dtype=np.float32))
-        assert reg.register("stem.weight", kept) is kept
-
 
 class TestDtypes:
     def test_tensor_keeps_float32_and_float64_only(self):
@@ -1034,6 +1021,19 @@ class TestDtypes:
         assert T._col2im(dcols, (2, 3, 6, 5), taps).dtype == np.float32
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def parsed_modules(directory, pattern="*.py"):
+    """{path below directory, without .py: ast} of the files matching pattern."""
+    return {
+        path.relative_to(directory).with_suffix("").as_posix(): ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+        for path in sorted(Path(directory).glob(pattern))
+    }
+
+
 class TestModuleSurface:
     def test_only_test_support_lacks_a_package_caller(self):
         # An op that no avscene module imports is dead code or test support;
@@ -1060,12 +1060,7 @@ class TestModuleSurface:
         # outside its own definition is an entry point, an input of the
         # planned command line (wav and image loading, manifests), or test
         # support. Anything else without a caller is dead code.
-        import avscene
-
-        trees = {
-            path.stem: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(Path(avscene.__path__[0]).glob("*.py"))
-        }
+        trees = parsed_modules(REPO / "src" / "avscene")
 
         def names_outside(tree, skip):
             found, stack = set(), [node for node in tree.body if node is not skip]
@@ -1104,3 +1099,122 @@ class TestModuleSurface:
             "tensor.mul",
             "tensor.total_sum",
         }
+
+    def test_methods_without_a_caller_are_pinned(self):
+        # A public method or property of an avscene class whose name no
+        # avscene or perfbench module uses as an attribute has no program
+        # caller. The five below are test helpers; anything else is dead code.
+        trees = parsed_modules(REPO / "src" / "avscene")
+        bench = parsed_modules(REPO / "perfbench", "**/*.py")
+        used = {
+            node.attr
+            for tree in [*trees.values(), *bench.values()]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+        uncalled = {
+            f"{module}.{cls.name}.{fn.name}"
+            for module, tree in trees.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_")
+            and fn.name not in used
+        }
+        assert uncalled == {
+            "frontend.LogMelSpectrogram.num_frames",
+            "tensor.GradCheckReport.worst_param",
+            "tensor.ParamRegistry.names",
+            "tensor.ParamRegistry.num_scalars",
+            "tensor.ParamRegistry.tensors",
+        }
+
+
+def settings_of(fn, call):
+    """``call(name)`` for each parameter of fn with a default, ``call(**name)`` for **kwargs."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults) :] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+    found = [f"{call}({arg.arg})" for arg in named]
+    if args.kwarg:
+        found.append(f"{call}(**{args.kwarg.arg})")
+    return found
+
+
+class TestSettingsLedger:
+    # Every parameter of a public avscene function, method, constructor or
+    # dataclass field that has a default, or is **kwargs, is a setting. A new
+    # entry here is a new option: ROADMAP aim 2 admits one only when two
+    # program callers need different values, so growing this list is a
+    # visible diff in review.
+    LEDGER = [
+        "backbone.Backbone(stages)",
+        "backbone.BackboneConfig(block_type)",
+        "backbone.BackboneConfig.full(in_channels)",
+        "backbone.BackboneConfig.tiny(in_channels)",
+        "frontend.extract_logmel(hop)",
+        "frontend.extract_logmel(n_fft)",
+        "frontend.extract_logmel(n_mels)",
+        "frontend.load_image(size)",
+        "model.ModelConfig(batch_size)",
+        "model.ModelConfig(disable_graph)",
+        "model.ModelConfig(epochs)",
+        "model.ModelConfig(gcn_out_channels)",
+        "model.ModelConfig(k_nodes)",
+        "model.ModelConfig(lr0)",
+        "model.ModelConfig(lr_decay_every)",
+        "model.ModelConfig(lr_decay_factor)",
+        "model.ModelConfig(momentum)",
+        "model.ModelConfig(seed)",
+        "model.ModelConfig.full(**overrides)",
+        "model.ModelConfig.full(modality)",
+        "model.ModelConfig.tiny(**overrides)",
+        "model.ModelConfig.tiny(modality)",
+        "model.ModelConfig.tiny(num_classes)",
+        "model.SGD(momentum)",
+        "model.SceneModel.build(registry)",
+        "model.TrainReport(confusion)",
+        "model.TrainReport(epochs)",
+        "model.evaluate(batch_size)",
+        "model.synth_dataset(height)",
+        "model.synth_dataset(width)",
+        "model.synth_splits(**dims)",
+        "model.train(progress)",
+        "tensor.GradCheckReport(max_relative_error)",
+        "tensor.GradCheckReport(per_param)",
+        "tensor.ParamRegistry(dtype)",
+        "tensor.Tensor(requires_grad)",
+        "tensor.conv2d(bias)",
+        "tensor.conv2d(padding)",
+        "tensor.conv2d(relu)",
+        "tensor.conv2d(residual)",
+        "tensor.conv2d(scale)",
+        "tensor.conv2d(stride)",
+        "tensor.finite_diff_check(epsilon)",
+        "tensor.linear(b)",
+        "tensor.scalar_affine(shift)",
+    ]
+
+    def test_settings_are_pinned(self):
+        found = []
+        for module, tree in parsed_modules(REPO / "src" / "avscene").items():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    found += settings_of(node, f"{module}.{node.name}")
+                if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                    continue
+                cls = f"{module}.{node.name}"
+                dataclass = any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+                )
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                        found += settings_of(member, cls)
+                    elif isinstance(member, ast.FunctionDef) and member.name[0] != "_":
+                        found += settings_of(member, f"{cls}.{member.name}")
+                    elif dataclass and isinstance(member, ast.AnnAssign) and member.value:
+                        found.append(f"{cls}({member.target.id})")
+        assert sorted(found) == self.LEDGER
