@@ -12,7 +12,7 @@ one tape node, and no block keeps its pre-join output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class BackboneConfig:
     in_channels: int
     stage_channels: list[int]
     blocks_per_stage: list[int]
-    block_type: str = "basic"
+    block_type: str
 
     def __post_init__(self):
         if len(self.stage_channels) != 5:
@@ -52,11 +52,11 @@ class BackboneConfig:
             raise ConfigurationError("bottleneck stages need channels divisible by 4")
 
     @classmethod
-    def tiny(cls, in_channels: int = 1) -> "BackboneConfig":
+    def tiny(cls, in_channels: int) -> "BackboneConfig":
         return cls(in_channels, [4, 8, 8, 16, 32], [1, 1, 1, 1], "basic")
 
     @classmethod
-    def full(cls, in_channels: int = 3) -> "BackboneConfig":
+    def full(cls, in_channels: int) -> "BackboneConfig":
         return cls(in_channels, [64, 256, 512, 1024, 2048], [3, 4, 6, 3], "bottleneck")
 
 
@@ -153,9 +153,8 @@ class ResidualBlock:
 @dataclass
 class Backbone:
     config: BackboneConfig
-    registry: ParamRegistry
     stem: ConvUnit
-    stages: list = field(default_factory=list)
+    stages: list  # per stage 2-5, its list of ResidualBlock
 
     def forward(self, x: Tensor) -> FeaturePyramid:
         if x.data.ndim != 4 or x.data.shape[1] != self.config.in_channels:
@@ -203,4 +202,4 @@ def build_backbone(
             )
         stages.append(blocks)
         c_in = c_out
-    return Backbone(config=config, registry=registry, stem=stem, stages=stages)
+    return Backbone(config=config, stem=stem, stages=stages)

@@ -1,7 +1,8 @@
 """Error classes shared across the package.
 
-The CLI maps these onto exit codes: configuration errors exit 2,
-data and numeric errors exit 1.
+Configuration and data errors are ``ValueError``s and numeric errors an
+``ArithmeticError``, so a caller can catch the package's class or the
+built-in one.
 """
 
 

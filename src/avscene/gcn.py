@@ -41,9 +41,8 @@ def propagation_matrix(adj: np.ndarray) -> np.ndarray:
 def gcn_layer(x: Tensor, l_norm: np.ndarray, theta: Tensor) -> Tensor:
     """One propagation step: relu(L_norm @ X @ theta^T) per batch item.
 
-    x is [N,K,C_in], l_norm the [K,K] propagation matrix of every item or
-    [N,K,K] with one per item, and theta the [C_out,C_in] weight that
-    ``linear`` applies to every node.
+    x is [N,K,C_in], l_norm the [N,K,K] propagation matrices, one per item,
+    and theta the [C_out,C_in] weight that ``linear`` applies to every node.
     """
     return relu(linear(batched_matrix_apply(l_norm, x), theta))
 

@@ -17,25 +17,20 @@ with momentum and a step learning-rate schedule; everything is deterministic
 given the config seed.
 
 A model computes in the dtype of its parameters. ``SceneModel.build`` makes
-a float32 registry unless given one; the input is cast to the registry's
-dtype at the model boundary (``SceneModel.features``), and the loss is
-reduced in float64. A ``ParamRegistry`` built without a dtype is float64,
-which gradient checks and exact reference tests use.
+the program's model, on a float32 registry; the constructor takes any
+registry, and gradient checks and exact reference tests pass a float64 one.
+The input is cast to the registry's dtype at the model boundary
+(``SceneModel.features``), and the loss is reduced in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import (
-    Backbone,
-    BackboneConfig,
-    build_backbone,
-    he_uniform,
-)
+from .backbone import BackboneConfig, build_backbone, he_uniform
 from .errors import ConfigurationError, DataError, NumericError
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout, propagation_matrix
@@ -91,10 +86,9 @@ class ModelConfig:
             raise ConfigurationError(
                 f"gcn_out_channels must be positive, got {self.gcn_out_channels}"
             )
-        if self.epochs < 1 or self.batch_size < 1 or self.lr_decay_every < 1:
-            raise ConfigurationError(
-                "epochs, batch_size and lr_decay_every must be positive"
-            )
+        for name in ("epochs", "batch_size", "lr_decay_every"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
         for name, value in (("lr0", self.lr0), ("lr_decay_factor", self.lr_decay_factor)):
             if not 0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
@@ -120,54 +114,51 @@ class ModelConfig:
         )
 
 
-def lr_schedule(epoch: int, lr0: float, decay_factor: float, decay_every: int) -> float:
-    """Step schedule: lr0 / decay_factor^(epoch // decay_every)."""
+def lr_schedule(config: ModelConfig, epoch: int) -> float:
+    """Step schedule: lr0 / lr_decay_factor^(epoch // lr_decay_every)."""
     if epoch < 0:
         raise ConfigurationError(f"epoch must be non-negative, got {epoch}")
-    return lr0 / decay_factor ** (epoch // decay_every)
+    return config.lr0 / config.lr_decay_factor ** (epoch // config.lr_decay_every)
 
 
 class SceneModel:
     """Backbone -> fusion -> scene graphs -> graph convolution -> affine head."""
 
     def __init__(self, config: ModelConfig, registry: ParamRegistry):
+        """Register every parameter in ``registry``, deterministically from ``config.seed``.
+
+        The model computes in the registry's dtype. With ``disable_graph`` it
+        has no fusion (``None``) and no thetas.
+        """
         self.config = config
         self.registry = registry
-        self.backbone: Backbone | None = None
-        self.fusion: AttentionFusion | None = None
-        self.thetas: dict = {}
-        self.head_weight: Tensor | None = None
-        self.head_bias: Tensor | None = None
-
-    @classmethod
-    def build(cls, config: ModelConfig, registry: ParamRegistry | None = None) -> "SceneModel":
-        """Register every parameter, deterministically from ``config.seed``.
-
-        Without a ``registry`` the model gets a float32 one and computes in
-        float32; pass ``ParamRegistry(np.float64)`` for float64 compute.
-        """
-        registry = registry if registry is not None else ParamRegistry(np.float32)
         rng = np.random.default_rng(config.seed)
-        model = cls(config, registry)
-        c4, c5 = config.backbone.stage_channels[3], config.backbone.stage_channels[4]
-        model.backbone = build_backbone(config.backbone, rng, registry)
-        if not config.disable_graph:
-            model.fusion = AttentionFusion(registry, c4, c5, rng)
-            for branch in ("sag", "cag"):
-                # Node features are top-intensity cells, several times the
-                # typical activation scale; a plain fan-in init makes the first
-                # SGD steps large enough to kill the ReLU backbone.
-                model.thetas[branch] = registry.register(
-                    f"gcn.{branch}.theta",
-                    he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
-                )
+        c4, c5 = config.backbone.stage_channels[3:]
+        graph = not config.disable_graph
+        self.backbone = build_backbone(config.backbone, rng, registry)
+        self.fusion = AttentionFusion(registry, c4, c5, rng) if graph else None
+        # Node features are top-intensity cells, several times the typical
+        # activation scale; a plain fan-in init makes the first SGD steps
+        # large enough to kill the ReLU backbone.
+        self.thetas = {
+            branch: registry.register(
+                f"gcn.{branch}.theta",
+                he_uniform(rng, (config.gcn_out_channels, c4), c4) * 0.25,
+            )
+            for branch in ("sag", "cag")
+            if graph
+        }
         # Zero head: logits start at 0, so the first updates are gentle
         # regardless of the graph features' scale.
-        model.head_weight = registry.register(
-            "head.weight", np.zeros((config.num_classes, model.feature_width))
+        self.head_weight = registry.register(
+            "head.weight", np.zeros((config.num_classes, self.feature_width))
         )
-        model.head_bias = registry.register("head.bias", np.zeros(config.num_classes))
-        return model
+        self.head_bias = registry.register("head.bias", np.zeros(config.num_classes))
+
+    @classmethod
+    def build(cls, config: ModelConfig) -> "SceneModel":
+        """The program's model: float32 parameters, so float32 compute."""
+        return cls(config, ParamRegistry(np.float32))
 
     @property
     def feature_width(self) -> int:
@@ -233,15 +224,15 @@ class SGD:
     the same bit for bit.
     """
 
-    def __init__(self, registry: ParamRegistry, momentum: float = 0.9):
+    def __init__(self, registry: ParamRegistry, momentum: float):
         self.registry = registry
         self.momentum = momentum
         self.velocity = {name: np.zeros_like(p.data) for name, p in registry.items()}
         self._scratch = np.empty(_SGD_BLOCK, dtype=registry.dtype)
 
     def step(self, lr: float) -> None:
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ConfigurationError(f"lr must be finite and positive, got {lr}")
         grads = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for name, p in self.registry.items():
@@ -384,11 +375,10 @@ def synth_splits(
     n_train: int,
     n_test: int,
     seed: int,
-    **dims,
 ) -> Dataset:
     return Dataset(
-        train=synth_dataset(kind, classes, n_train, seed, **dims),
-        test=synth_dataset(kind, classes, n_test, seed + 1, **dims),
+        train=synth_dataset(kind, classes, n_train, seed),
+        test=synth_dataset(kind, classes, n_test, seed + 1),
     )
 
 
@@ -408,12 +398,12 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
-    epochs: list = field(default_factory=list)
-    confusion: np.ndarray | None = None
+    epochs: list
+    confusion: np.ndarray
 
     @property
     def final_test_accuracy(self) -> float:
-        return self.epochs[-1].test_accuracy if self.epochs else 0.0
+        return self.epochs[-1].test_accuracy
 
     @property
     def losses(self) -> list:
@@ -447,15 +437,17 @@ def _check_split(examples, num_classes: int, split: str) -> None:
             raise DataError(f"{split} example {i}: non-finite value in x")
 
 
-def evaluate(model: SceneModel, examples, batch_size: int = 8) -> EvalResult:
-    """Accuracy and confusion matrix; confusion[i][j] counts true i predicted j."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
+def evaluate(model: SceneModel, examples) -> EvalResult:
+    """Accuracy and confusion matrix; confusion[i][j] counts true i predicted j.
+
+    The examples go through the model in batches of ``config.batch_size``.
+    """
     if not examples:
         raise DataError("cannot evaluate an empty dataset")
     classes = model.config.num_classes
     _check_split(examples, classes, "evaluation")
     confusion = np.zeros((classes, classes), dtype=np.int64)
+    batch_size = model.config.batch_size
     with no_grad():
         for start in range(0, len(examples), batch_size):
             batch = examples[start : start + batch_size]
@@ -487,12 +479,10 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
     model = SceneModel.build(config)
     optimizer = SGD(model.registry, momentum=config.momentum)
     shuffle_rng = np.random.default_rng(config.seed + 0x5EED)
-    report = TrainReport()
+    history = []
     n_train = len(dataset.train)
     for epoch in range(config.epochs):
-        lr = lr_schedule(
-            epoch, config.lr0, config.lr_decay_factor, config.lr_decay_every
-        )
+        lr = lr_schedule(config, epoch)
         order = shuffle_rng.permutation(n_train)
         loss_sum = 0.0
         correct = 0
@@ -512,7 +502,7 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
             optimizer.step(lr)
             loss_sum += value * len(batch)
             correct += int((np.argmax(logits.data, axis=1) == labels).sum())
-        tested = evaluate(model, dataset.test, config.batch_size) if dataset.test else None
+        tested = evaluate(model, dataset.test) if dataset.test else None
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
@@ -520,11 +510,11 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
             train_accuracy=correct / n_train,
             test_accuracy=tested.accuracy if tested else 0.0,
         )
-        report.epochs.append(stats)
+        history.append(stats)
         if progress is not None:
             progress(stats)
-    report.confusion = (tested or evaluate(model, dataset.train, config.batch_size)).confusion
-    return model, report
+    confusion = (tested or evaluate(model, dataset.train)).confusion
+    return model, TrainReport(epochs=history, confusion=confusion)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +621,8 @@ def load_checkpoint(directory) -> SceneModel:
 
     The model is float32, as ``SceneModel.build`` makes it, and AGT1 stores
     f32, so the weights of a float32 model come back bit for bit. Those of a
-    model built with a float64 registry come back as the nearest f32, within
-    a relative 2**-24. A missing, misshapen or non-finite tensor raises
+    model constructed on a float64 registry come back as the nearest f32,
+    within a relative 2**-24. A missing, misshapen or non-finite tensor raises
     DataError naming it.
     """
     directory = Path(directory)

@@ -1,7 +1,7 @@
 """Binary PPM (P6) and PGM (P5) reading and writing.
 
-These formats carry the visual inputs and the rendered graph overlays; no
-image codec dependency is needed and the bytes are reproducible.
+These formats carry the visual inputs (``frontend.load_image`` reads them);
+no image codec dependency is needed and the bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ def read_pnm(path) -> tuple[np.ndarray, int]:
         raw = f.read()
     magic, pos = _read_token(raw, 0)
     if magic not in (b"P5", b"P6"):
-        raise DataError(f"{path}: unsupported PNM magic {magic!r} at byte 0")
+        raise DataError(
+            f"{path}: unsupported PNM magic {magic!r} at byte {pos - len(magic)}"
+        )
     fields = []
     for _ in range(3):
         token, pos = _read_token(raw, pos)
         try:
             fields.append(int(token))
         except ValueError:
-            raise DataError(f"{path}: bad PNM header token {token!r} at byte {pos}")
+            start = pos - len(token)
+            raise DataError(f"{path}: bad PNM header token {token!r} at byte {start}")
     width, height, maxval = fields
     if width < 1 or height < 1 or not (0 < maxval < 256):
         raise DataError(f"{path}: bad PNM dimensions {width}x{height} maxval {maxval}")

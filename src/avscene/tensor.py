@@ -3,7 +3,7 @@
 Every numeric kernel the scene classifier needs lives here: convolutions,
 activations, pooling, bilinear resampling, the classification loss, a
 parameter registry, a finite-difference gradient checker, and the AGT1
-tensor file format used for feature exchange and checkpoints.
+tensor file format that checkpoints are written in.
 
 A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
 bias[O] + residual)``; a residual block's last unit takes the shortcut as
@@ -32,7 +32,7 @@ A tensor holds float32 or float64; any other input becomes float64. Every op
 computes in its operands' dtype, and a gradient takes the dtype of the tensor
 it belongs to. ``softmax_cross_entropy`` is the exception: it reduces in
 float64 and returns a float64 loss, as in mixed-precision training. A
-``ParamRegistry`` casts its parameters to one dtype, float64 by default. The
+``ParamRegistry`` casts its parameters to the one dtype it is built with. The
 AGT1 file format stores float32, so a float32 tensor round-trips bit for bit.
 There is no broadcasting beyond bias addition: operands must match shapes
 exactly.
@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -208,7 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scalar_affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
+def scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """scale * x + shift with python-float coefficients."""
     out = Tensor(x.data * scale + shift)
 
@@ -338,13 +339,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
-    """Apply constant matrices, cast to x's dtype, to the items of x[N,K,C].
-
-    m is one [K,K] matrix for every item, or [N,K,K] with one per item.
-    """
+    """Apply constant matrices m[N,K,K], cast to x's dtype, to the items of x[N,K,C]."""
     m = np.asarray(m, dtype=x.data.dtype)
     shape = x.data.shape
-    if x.data.ndim != 3 or m.shape not in ((shape[1],) * 2, (shape[0],) + (shape[1],) * 2):
+    if x.data.ndim != 3 or m.shape != (shape[0],) + (shape[1],) * 2:
         raise ConfigurationError(
             f"batched_matrix_apply: m {m.shape} does not fit x {shape}"
         )
@@ -490,7 +488,7 @@ def _col2im(dcols: np.ndarray, shape, t: _TapLayout) -> np.ndarray:
 def conv2d(
     x: Tensor,
     w: Tensor,
-    bias: Tensor | None = None,
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
     scale: Tensor | None = None,
@@ -544,8 +542,7 @@ def conv2d(
     y = yq.reshape(n, o, ho, wq)[..., :wo].reshape(n, o, ho * wo)
     if scale is not None:
         y *= scale.data.reshape(1, o, 1)
-    if bias is not None:
-        y += bias.data.reshape(1, o, 1)
+    y += bias.data.reshape(1, o, 1)
     if residual is not None:
         y += residual.data.reshape(n, o, ho * wo)
     if relu:
@@ -577,7 +574,7 @@ def conv2d(
                 if scaled:
                     gw *= scale.data[:, None]
                 _accumulate(w, gw.reshape(wn.shape), fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 2)), fresh=True)
         if x.requires_grad:
             if scaled:
@@ -754,7 +751,7 @@ class ParamRegistry:
     (``SGD.step``) writes through.
     """
 
-    def __init__(self, dtype=np.float64):
+    def __init__(self, dtype):
         if dtype not in (np.float32, np.float64):
             raise ConfigurationError(
                 f"ParamRegistry: dtype must be float32 or float64, got {dtype!r}"
@@ -856,9 +853,8 @@ def finite_diff_check(
 AGT1_MAGIC = b"AGT1"
 
 
-def write_agt1(path, array) -> None:
+def write_agt1(path, a: np.ndarray) -> None:
     """Write an array as AGT1: magic, u8 rank, u32 LE dims, f32 LE payload."""
-    a = array.data if isinstance(array, Tensor) else np.asarray(array)
     if a.ndim > 255:
         raise ConfigurationError(f"AGT1 rank limit exceeded: {a.ndim}")
     with open(path, "wb") as f:
@@ -882,7 +878,7 @@ def read_agt1(path) -> np.ndarray:
     if len(raw) < header_end:
         raise DataError(f"{path}: truncated dims at byte {len(raw)}")
     dims = struct.unpack(f"<{rank}I", raw[5:header_end]) if rank else ()
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)  # exact: an int64 product of u32 dims can wrap
     expected = header_end + 4 * count
     if len(raw) != expected:
         raise DataError(

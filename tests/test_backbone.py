@@ -17,7 +17,9 @@ from avscene.errors import ConfigurationError
 
 
 def build(config, seed):
-    return build_backbone(config, np.random.default_rng(seed), T.ParamRegistry())
+    """(backbone, its float64 registry), initialised from ``seed``."""
+    registry = T.ParamRegistry(np.float64)
+    return build_backbone(config, np.random.default_rng(seed), registry), registry
 
 
 def count_params_basic(in_channels, channels, blocks):
@@ -48,55 +50,54 @@ def count_params_basic(in_channels, channels, blocks):
 class TestConfig:
     def test_rejects_bad_channel_counts(self):
         with pytest.raises(ConfigurationError):
-            BackboneConfig(1, [4, 8, 8], [1, 1, 1, 1])
+            BackboneConfig(1, [4, 8, 8], [1, 1, 1, 1], "basic")
         with pytest.raises(ConfigurationError):
-            BackboneConfig(1, [4, 8, 8, 0, 32], [1, 1, 1, 1])
+            BackboneConfig(1, [4, 8, 8, 0, 32], [1, 1, 1, 1], "basic")
         with pytest.raises(ConfigurationError, match="bottleneck"):
             BackboneConfig(1, [4, 8, 8, 15, 32], [1, 1, 1, 1], "bottleneck")
 
     def test_named_presets(self):
-        tiny = BackboneConfig.tiny()
+        tiny = BackboneConfig.tiny(1)
         assert tiny.stage_channels == [4, 8, 8, 16, 32]
-        full = BackboneConfig.full()
+        full = BackboneConfig.full(3)
         assert full.stage_channels == [64, 256, 512, 1024, 2048]
         assert full.block_type == "bottleneck"
 
 
 class TestBuild:
     def test_same_seed_identical_params(self):
-        a = build(BackboneConfig.tiny(), 5)
-        b = build(BackboneConfig.tiny(), 5)
-        assert a.registry.names() == b.registry.names()
-        for name in a.registry.names():
-            assert np.array_equal(a.registry[name].data, b.registry[name].data)
+        _, a = build(BackboneConfig.tiny(1), 5)
+        _, b = build(BackboneConfig.tiny(1), 5)
+        assert a.names() == b.names()
+        for name in a.names():
+            assert np.array_equal(a[name].data, b[name].data)
 
     def test_leaves_the_callers_generator_advanced(self):
         # SceneModel.build goes on drawing from the same Generator.
         rng = np.random.default_rng(5)
-        build_backbone(BackboneConfig.tiny(), rng, T.ParamRegistry())
+        build_backbone(BackboneConfig.tiny(1), rng, T.ParamRegistry(np.float64))
         after = rng.uniform(size=4)
         fresh = np.random.default_rng(5)
         assert not np.array_equal(after, fresh.uniform(size=4))
         fresh = np.random.default_rng(5)
-        build_backbone(BackboneConfig.tiny(), fresh, T.ParamRegistry())
+        build_backbone(BackboneConfig.tiny(1), fresh, T.ParamRegistry(np.float64))
         assert np.array_equal(after, fresh.uniform(size=4))
 
     def test_different_seed_differs(self):
-        a = build(BackboneConfig.tiny(), 5)
-        b = build(BackboneConfig.tiny(), 6)
+        _, a = build(BackboneConfig.tiny(1), 5)
+        _, b = build(BackboneConfig.tiny(1), 6)
         assert not np.array_equal(
-            a.registry["backbone.conv1.weight"].data,
-            b.registry["backbone.conv1.weight"].data,
+            a["backbone.conv1.weight"].data, b["backbone.conv1.weight"].data
         )
 
     def test_param_count_matches_formula(self):
         config = BackboneConfig(1, [8, 8, 16, 32, 64], [1, 1, 1, 1], "basic")
-        net = build(config, 0)
-        assert net.registry.num_scalars() == count_params_basic(1, config.stage_channels, [1, 1, 1, 1])
+        _, registry = build(config, 0)
+        assert registry.num_scalars() == count_params_basic(1, config.stage_channels, [1, 1, 1, 1])
 
     def test_full_width_stage_shapes_visual(self):
         config = BackboneConfig(3, [64, 256, 512, 1024, 2048], [1, 1, 1, 1], "bottleneck")
-        net = build(config, 0)
+        net, _ = build(config, 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((1, 3, 224, 224)) * 0.1)
         with T.no_grad():
             pyramid = net.forward(x)
@@ -107,7 +108,7 @@ class TestBuild:
 
 class TestForward:
     def test_tiny_audio_shapes(self):
-        net = build(BackboneConfig.tiny(1), 1)
+        net, _ = build(BackboneConfig.tiny(1), 1)
         x = T.Tensor(np.random.default_rng(1).standard_normal((2, 1, 201, 64)))
         with T.no_grad():
             pyramid = net.forward(x)
@@ -129,14 +130,14 @@ class TestForward:
 
     def test_zero_input_zero_embedding(self):
         # Affine shifts start at zero, convs have no bias: zeros propagate.
-        net = build(BackboneConfig.tiny(1), 2)
+        net, _ = build(BackboneConfig.tiny(1), 2)
         x = T.Tensor(np.zeros((1, 1, 64, 32)))
         with T.no_grad():
             pyramid = net.forward(x)
         assert np.all(pyramid.embedding.data == 0.0)
 
     def test_wrong_channel_count(self):
-        net = build(BackboneConfig.tiny(1), 0)
+        net, _ = build(BackboneConfig.tiny(1), 0)
         with pytest.raises(ConfigurationError):
             net.forward(T.Tensor(np.zeros((1, 3, 64, 32))))
 
@@ -145,17 +146,17 @@ class TestForward:
             feature_map_dims(2, 2)
 
     def test_gradients_reach_every_parameter(self):
-        net = build(BackboneConfig.tiny(1), 3)
+        net, registry = build(BackboneConfig.tiny(1), 3)
         x = T.Tensor(np.random.default_rng(3).standard_normal((2, 1, 64, 32)))
         pyramid = net.forward(x)
         loss = T.add(T.total_sum(pyramid.f_m4), T.total_sum(pyramid.embedding))
         loss.backward()
-        for name, p in net.registry.items():
+        for name, p in registry.items():
             assert p.grad is not None, name
             assert np.linalg.norm(p.grad) > 0.0, name
 
     def test_forward_deterministic(self):
-        net = build(BackboneConfig.tiny(1), 4)
+        net, _ = build(BackboneConfig.tiny(1), 4)
         x = T.Tensor(np.random.default_rng(4).standard_normal((1, 1, 64, 32)))
         with T.no_grad():
             a = net.forward(x).f_m5.data
@@ -187,19 +188,19 @@ class TestTape:
         ],
     )
     def test_one_node_per_conv_unit_and_join(self, block_type, c_in, c_out, stride, nodes):
-        reg = T.ParamRegistry()
+        reg = T.ParamRegistry(np.float64)
         block = ResidualBlock(reg, np.random.default_rng(0), "b", c_in, c_out, stride, block_type)
         x = T.Tensor(np.random.default_rng(1).standard_normal((2, c_in, 8, 8)))
         assert taped_nodes(block.forward(x)) == nodes
 
     def test_stem_is_one_node(self):
-        net = build(BackboneConfig.tiny(1), 0)
+        net, _ = build(BackboneConfig.tiny(1), 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32)))
         assert taped_nodes(net.stem.forward(x)) == 1
 
     def test_forward_tape_allocation_stays_bounded(self):
         config = BackboneConfig(1, [8, 16, 16, 32, 64], [1, 1, 1, 1], "bottleneck")
-        net = build(config, 0)
+        net, _ = build(config, 0)
         x = T.Tensor(np.random.default_rng(0).standard_normal((2, 1, 64, 64)))
         net.forward(x)  # warm every lazily built cache first
         tracemalloc.start()

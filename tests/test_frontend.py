@@ -326,6 +326,21 @@ class TestImagesAndManifest:
         with pytest.raises(DataError, match="sample 16 exceeds maxval 15 at byte 11"):
             pnm.read_pnm(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"P6\n4 x3 255\n", "bad PNM header token b'x3' at byte 5"),
+            (b"P5 # note\n2 2\n25a\n", "bad PNM header token b'25a' at byte 14"),
+            (b"# note\nP7\n1 1\n255\n", "unsupported PNM magic b'P7' at byte 7"),
+        ],
+        ids=["height", "maxval_after_comment", "magic_after_comment"],
+    )
+    def test_bad_header_token_names_its_first_byte(self, tmp_path, header, message):
+        path = tmp_path / "h.pnm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            pnm.read_pnm(path)
+
     def test_load_image_resize(self, tmp_path):
         img = np.full((10, 8, 3), 128, dtype=np.uint8)
         path = tmp_path / "c.ppm"

@@ -9,7 +9,7 @@ from avscene.fusion import AttentionFusion
 
 
 def make_fusion(c4, c5, seed=0):
-    registry = T.ParamRegistry()
+    registry = T.ParamRegistry(np.float64)
     fusion = AttentionFusion(registry, c4, c5, np.random.default_rng(seed))
     return registry, fusion
 

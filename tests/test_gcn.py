@@ -104,7 +104,7 @@ class TestValidation:
 class TestGcnLayer:
     def test_double_identity(self):
         x = T.Tensor(np.abs(np.random.default_rng(3).standard_normal((2, 4, 3))))
-        out = gcn.gcn_layer(x, np.eye(4), T.Tensor(np.eye(3)))
+        out = gcn.gcn_layer(x, np.tile(np.eye(4), (2, 1, 1)), T.Tensor(np.eye(3)))
         assert np.array_equal(out.data, x.data)
 
     def test_constant_nodes_stay_constant_pre_activation(self):
@@ -122,7 +122,7 @@ class TestGcnLayer:
         # Positive features and filters keep every output above the ReLU kink.
         x = T.Tensor(np.tile(np.array([1.5, 2.0, 0.5]), (1, 4, 1)))
         theta = T.Tensor(np.abs(rng.standard_normal((2, 3))))
-        out = gcn.gcn_layer(x, m, theta)
+        out = gcn.gcn_layer(x, m[None], theta)
         assert out.data.min() > 0.0
         spread = out.data.max(axis=1) - out.data.min(axis=1)
         assert np.max(np.abs(spread)) < 1e-9
@@ -131,7 +131,7 @@ class TestGcnLayer:
         rng = np.random.default_rng(5)
         n, k, cin, cout = 2, 4, 3, 2
         x = rng.standard_normal((n, k, cin))
-        lm = rng.standard_normal((k, k))
+        lm = rng.standard_normal((n, k, k))
         theta = rng.standard_normal((cout, cin))
         got = gcn.gcn_layer(T.Tensor(x), lm, T.Tensor(theta)).data
         want = np.zeros((n, k, cout))
@@ -141,7 +141,7 @@ class TestGcnLayer:
                     acc = 0.0
                     for j in range(k):
                         for c in range(cin):
-                            acc += lm[i, j] * x[ni, j, c] * theta[o, c]
+                            acc += lm[ni, i, j] * x[ni, j, c] * theta[o, c]
                     want[ni, i, o] = max(acc, 0.0)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.any(want == 0.0) and np.any(want > 0.0)  # both ReLU sides
@@ -149,16 +149,16 @@ class TestGcnLayer:
     def test_node_count_mismatch_rejected(self):
         x = T.Tensor(np.zeros((1, 4, 3)))
         with pytest.raises(ConfigurationError):
-            gcn.gcn_layer(x, np.eye(5), T.Tensor(np.eye(3)))
+            gcn.gcn_layer(x, np.eye(5)[None], T.Tensor(np.eye(3)))
         with pytest.raises(ConfigurationError):
-            gcn.gcn_layer(T.Tensor(np.zeros((4, 3))), np.eye(4), T.Tensor(np.eye(3)))
+            gcn.gcn_layer(T.Tensor(np.zeros((4, 3))), np.eye(4)[None], T.Tensor(np.eye(3)))
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
-        reg = T.ParamRegistry()
+        reg = T.ParamRegistry(np.float64)
         theta = reg.register("theta", rng.standard_normal((2, 3)))
         x = reg.register("x", rng.standard_normal((2, 4, 3)))
-        l_norm = gcn.propagation_matrix(random_adjacency(rng, 4))
+        l_norm = np.stack([gcn.propagation_matrix(random_adjacency(rng, 4)) for _ in range(2)])
 
         def loss():
             return T.total_sum(gcn.gcn_layer(x, l_norm, theta))
@@ -170,7 +170,7 @@ class TestGcnLayer:
     def test_layer_is_three_tape_nodes(self):
         # relu(linear(batched_matrix_apply(l_norm, x), theta)): no transposes.
         x = T.Tensor(np.ones((1, 4, 3)), requires_grad=True)
-        out = gcn.gcn_layer(x, np.eye(4), T.Tensor(np.eye(3), requires_grad=True))
+        out = gcn.gcn_layer(x, np.eye(4)[None], T.Tensor(np.eye(3), requires_grad=True))
         ops, node = 0, out
         while node._parents:
             ops += 1

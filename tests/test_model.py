@@ -42,7 +42,7 @@ def micro_model(seed):
         seed=seed,
     )
     # float64: the 1e-6 bound below is far under float32 round-off.
-    model = SceneModel.build(config, registry=T.ParamRegistry(np.float64))
+    model = SceneModel(config, T.ParamRegistry(np.float64))
     rng = np.random.default_rng(seed + 1)
     # The built head is zero, which makes every gradient below it zero.
     model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
@@ -97,7 +97,9 @@ def per_sample_features(model, x):
         pair = build_scene_graphs(T.slice_batch(f_ffr, i), model.config.k_nodes)
         graphs.append(pair)
         outputs = [
-            gcn_layer(graph.node_features, propagation_matrix(graph.adjacency), model.thetas[b])
+            gcn_layer(
+                graph.node_features, propagation_matrix(graph.adjacency)[None], model.thetas[b]
+            )
             for b, graph in zip(("sag", "cag"), pair)
         ]
         rows.append(graph_readout(*outputs))
@@ -108,7 +110,7 @@ class TestBatchedGraphStage:
     # theta_rel: measured at most 2.3e-7 (float32) and 4e-16 (float64) on seeds 0-4
     @pytest.mark.parametrize("dtype, theta_rel", [(np.float32, 1e-6), (np.float64, 1e-14)])
     def test_matches_a_per_sample_loop(self, dtype, theta_rel):
-        model = SceneModel.build(ModelConfig.tiny(seed=5), registry=T.ParamRegistry(dtype))
+        model = SceneModel(ModelConfig.tiny(seed=5), T.ParamRegistry(dtype))
         rng = np.random.default_rng(5)
         model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
         examples = synth_dataset("audio", 4, 8, seed=6)
@@ -158,7 +160,7 @@ class TestFloat32Policy:
         model.head_weight.data[...] = np.random.default_rng(2).standard_normal(
             model.head_weight.shape
         )
-        optimizer = SGD(model.registry)
+        optimizer = SGD(model.registry, momentum=0.9)
         # A float64 input, as train and evaluate pass it: cast at the boundary.
         x = T.Tensor(np.random.default_rng(3).standard_normal((2, 1, 64, 32)))
         logits = model.forward(x)
@@ -191,11 +193,8 @@ class TestFloat32Learning:
     MAX_LOSS_GAP = 0.03
 
     def test_float32_loss_curve_tracks_float64(self, monkeypatch):
-        build = SceneModel.build.__func__
-
-        def float64_build(cls, config, registry=None):
-            registry = registry if registry is not None else T.ParamRegistry(np.float64)
-            return build(cls, config, registry)
+        def float64_build(cls, config):
+            return cls(config, T.ParamRegistry(np.float64))
 
         for seed in (0, 1):
             config = ModelConfig.tiny(seed=seed, epochs=12, lr_decay_every=12, lr0=0.003)
@@ -237,6 +236,7 @@ REQUIRED = {
     "backbone.in_channels": "1",
     "backbone.stage_channels": "4,8,8,16,32",
     "backbone.blocks_per_stage": "1,1,1,1",
+    "backbone.block_type": "basic",
 }
 
 OFF_DEFAULT = ModelConfig(
@@ -278,7 +278,7 @@ class TestConfigText:
         assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
 
     def test_missing_keys_take_the_dataclass_defaults(self):
-        backbone = BackboneConfig(1, [4, 8, 8, 16, 32], [1, 1, 1, 1])
+        backbone = BackboneConfig(1, [4, 8, 8, 16, 32], [1, 1, 1, 1], "basic")
         assert config_from_flat(dict(REQUIRED)) == ModelConfig(backbone, num_classes=4)
 
     @pytest.mark.parametrize("key", sorted(REQUIRED))
@@ -415,7 +415,7 @@ class TestModelConfig:
         before = {name: p.data.copy() for name, p in model.registry.items()}
         x = T.Tensor(rng.standard_normal((2, 1, 64, 32)))
         T.softmax_cross_entropy(model.forward(x), [0, 2]).backward()
-        SGD(model.registry).step(0.01)
+        SGD(model.registry, momentum=0.9).step(0.01)
         for name, p in model.registry.items():
             assert p.grad is not None and np.any(p.grad != 0.0), name
             assert not np.array_equal(p.data, before[name]), name
@@ -428,6 +428,12 @@ class TestModelConfig:
             flat = config_to_flat(config)
             flat[key] = value
             assert config_from_flat(flat) == config, key
+
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_non_positive_batch_size_names_the_value(self, batch_size):
+        # evaluate and train both batch by config.batch_size.
+        with pytest.raises(ConfigurationError, match=f"^batch_size .*got {batch_size}$"):
+            ModelConfig.tiny(batch_size=batch_size)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -464,7 +470,7 @@ class TestModelConfig:
 class TestSGD:
     @staticmethod
     def registry():
-        reg = T.ParamRegistry()
+        reg = T.ParamRegistry(np.float64)
         reg.register("a", np.array([1.0, -2.0]))
         reg.register("b", np.array([[0.5], [3.0]]))
         return reg
@@ -487,7 +493,7 @@ class TestSGD:
 
     def test_missing_gradient_counts_as_zero(self):
         reg = self.registry()
-        optimizer = SGD(reg)
+        optimizer = SGD(reg, momentum=0.9)
         reg["a"].grad = np.ones(2)
         optimizer.step(0.5)
         assert np.array_equal(reg["a"].data, [0.5, -2.5])
@@ -495,7 +501,7 @@ class TestSGD:
 
     def test_non_finite_gradient_changes_nothing(self):
         reg = self.registry()
-        optimizer = SGD(reg)
+        optimizer = SGD(reg, momentum=0.9)
         for p in reg.tensors():
             p.grad = np.ones_like(p.data)
         optimizer.step(0.1)  # non-zero velocities
@@ -542,7 +548,7 @@ class TestSGD:
 
     def test_nan_in_the_last_gradient_changes_nothing(self):
         reg = self.blocked_registry()
-        optimizer = SGD(reg)
+        optimizer = SGD(reg, momentum=0.9)
         for p in reg.tensors():
             p.grad = np.ones_like(p.data)
         optimizer.step(0.1)  # non-zero velocities
@@ -563,7 +569,7 @@ class TestSGD:
         for p in reg.tensors():
             p.grad = np.zeros_like(p.data)
         reg["big"].grad[:] = 1e30  # g·g overflows float32
-        SGD(reg).step(1e-30)
+        SGD(reg, momentum=0.9).step(1e-30)
         assert np.array_equal(reg["big"].data, want)
 
     def test_parameter_registered_in_another_layout_is_updated(self):
@@ -573,7 +579,7 @@ class TestSGD:
         w = reg.register("w", np.arange(6.0, dtype=np.float32).reshape(2, 3).T)
         assert w.data.flags.c_contiguous
         w.grad = np.ones((3, 2), dtype=np.float32)
-        SGD(reg).step(0.5)
+        SGD(reg, momentum=0.9).step(0.5)
         assert np.array_equal(w.data, np.arange(6.0).reshape(2, 3).T - 0.5)
 
     def test_step_allocates_at_most_one_block(self):
@@ -581,7 +587,7 @@ class TestSGD:
         # lr * v would allocate 16 MiB here.
         reg = T.ParamRegistry(np.float32)
         reg.register("w", np.ones(4 * 1024 * 1024, dtype=np.float32))
-        optimizer = SGD(reg)
+        optimizer = SGD(reg, momentum=0.9)
         reg["w"].grad = np.ones_like(reg["w"].data)
         tracemalloc.start()
         try:
@@ -594,17 +600,35 @@ class TestSGD:
     @pytest.mark.parametrize("lr", [0.0, -0.01])
     def test_non_positive_lr_rejected(self, lr):
         with pytest.raises(ConfigurationError, match="lr"):
-            SGD(self.registry()).step(lr)
+            SGD(self.registry(), momentum=0.9).step(lr)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_lr_changes_nothing(self, lr):
+        reg = self.registry()
+        optimizer = SGD(reg, momentum=0.9)
+        for p in reg.tensors():
+            p.grad = np.ones_like(p.data)
+        optimizer.step(0.1)  # non-zero velocities
+        before = {
+            name: (p.data.copy(), optimizer.velocity[name].copy())
+            for name, p in reg.items()
+        }
+        with pytest.raises(ConfigurationError, match=f"lr must be finite and positive, got {lr}$"):
+            optimizer.step(lr)
+        for name, p in reg.items():
+            assert np.array_equal(p.data, before[name][0]), name
+            assert np.array_equal(optimizer.velocity[name], before[name][1]), name
 
 
 class TestLrSchedule:
     def test_step_boundaries(self):
-        lrs = [lr_schedule(epoch, 0.5, 10.0, 3) for epoch in range(7)]
+        config = ModelConfig.tiny(lr0=0.5, lr_decay_factor=10.0, lr_decay_every=3)
+        lrs = [lr_schedule(config, epoch) for epoch in range(7)]
         assert lrs == [0.5, 0.5, 0.5, 0.05, 0.05, 0.05, 0.005]
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ConfigurationError, match="-1"):
-            lr_schedule(-1, 0.01, 10.0, 20)
+            lr_schedule(ModelConfig.tiny(), -1)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -622,9 +646,9 @@ def count_calls(monkeypatch, owner, name):
 
 class TestEvaluate:
     @staticmethod
-    def seeded_model(examples, dtype=np.float64):
-        registry = T.ParamRegistry(dtype)
-        model = SceneModel.build(ModelConfig.tiny(seed=1), registry=registry)
+    def seeded_model(examples, dtype=np.float64, batch_size=8):
+        config = ModelConfig.tiny(seed=1, batch_size=batch_size)
+        model = SceneModel(config, T.ParamRegistry(dtype))
         w = np.random.default_rng(1).standard_normal(model.head_weight.shape)
         model.head_weight.data[...] = w
         # Centre the logits on these examples, so the predictions vary.
@@ -635,13 +659,13 @@ class TestEvaluate:
 
     def test_confusion_matches_a_hand_count(self):
         examples = synth_dataset("audio", 4, 10, seed=2)
-        model = self.seeded_model(examples)
+        model = self.seeded_model(examples, batch_size=3)
         want = np.zeros((4, 4), dtype=np.int64)
         with T.no_grad():
             for e in examples:
                 pred = int(np.argmax(model.forward(T.Tensor(e.x[None])).data))
                 want[e.label, pred] += 1
-        result = evaluate(model, examples, batch_size=3)
+        result = evaluate(model, examples)
         assert (want.sum(axis=0) > 0).sum() >= 2  # not one class for all
         assert np.array_equal(result.confusion, want)
         assert result.accuracy == np.trace(want) / 10
@@ -659,17 +683,13 @@ class TestEvaluate:
                 logits[size] = np.concatenate(rows)
         assert np.array_equal(logits[3], logits[1])
         assert np.array_equal(logits[8], logits[1])
-        confusions = [evaluate(model, examples, size).confusion for size in (1, 3, 8)]
+        confusions = []
+        for size in (1, 3, 8):
+            model.config = dataclasses.replace(model.config, batch_size=size)
+            confusions.append(evaluate(model, examples).confusion)
         assert (confusions[0].sum(axis=0) > 0).sum() >= 2  # not one class for all
         assert np.array_equal(confusions[1], confusions[0])
         assert np.array_equal(confusions[2], confusions[0])
-
-    @pytest.mark.parametrize("batch_size", [-1, 0])
-    def test_non_positive_batch_size_names_the_value(self, batch_size):
-        model = self.seeded_model(synth_dataset("audio", 4, 2, seed=2))
-        examples = synth_dataset("audio", 4, 4, seed=3)
-        with pytest.raises(ConfigurationError, match=f"batch_size .*got {batch_size}$"):
-            evaluate(model, examples, batch_size=batch_size)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -681,7 +701,7 @@ class TestEvaluate:
         examples[5].label = 4
         forwards = count_calls(monkeypatch, SceneModel, "forward")
         with pytest.raises(DataError, match="evaluation example 5: label 4"):
-            evaluate(model, examples, batch_size=2)
+            evaluate(model, examples)
         assert forwards == []
 
 
@@ -779,7 +799,7 @@ class TestTrainEvaluations:
         evaluations = count_calls(monkeypatch, M, "evaluate")
         model, report = train(ModelConfig.tiny(seed=6, epochs=3), dataset)
         assert len(evaluations) == (3 if n_test else 1)
-        fresh = evaluate(model, dataset.test or dataset.train, batch_size=8)
+        fresh = evaluate(model, dataset.test or dataset.train)
         assert np.array_equal(report.confusion, fresh.confusion)
         if n_test:
             assert report.final_test_accuracy == fresh.accuracy
@@ -787,8 +807,8 @@ class TestTrainEvaluations:
 
 class TestCheckpoint:
     @staticmethod
-    def randomized_model(config=ModelConfig.tiny(seed=3), registry=None):
-        model = SceneModel.build(config, registry=registry)
+    def randomized_model(config=ModelConfig.tiny(seed=3), dtype=np.float32):
+        model = SceneModel(config, T.ParamRegistry(dtype))
         rng = np.random.default_rng(3)
         # Built heads and shifts are zero, which f32 stores exactly.
         for _, p in model.registry.items():
@@ -806,7 +826,7 @@ class TestCheckpoint:
             assert np.array_equal(got.view(np.uint32), p.data.view(np.uint32)), name
 
     def test_round_trip_within_f32_rounding(self, tmp_path):
-        model = self.randomized_model(registry=T.ParamRegistry(np.float64))
+        model = self.randomized_model(dtype=np.float64)
         save_checkpoint(model, tmp_path)
         loaded = load_checkpoint(tmp_path)
         assert loaded.config == model.config
