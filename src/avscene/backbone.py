@@ -1,8 +1,10 @@
 """Residual backbone producing two deep feature maps and a pooled embedding.
 
 The stride pattern is fixed: a 7x7 stride-2 stem, a stride-1 second stage,
-then three stride-2 stages. Channel widths and depth are configurable so the
-same code serves both the full-width network and a tiny trainable variant.
+then three stride-2 stages. Every conv pads by ``kernel // 2`` (kernels 1, 3
+and 7), so a stride-s conv maps n cells to ceil(n / s): any input of at least
+1x1 runs (``feature_map_dims``). Channel widths and depth are configurable so
+the same code serves both the full-width network and a tiny trainable variant.
 Per-channel affine (scale/shift) parameters stand in for batch statistics,
 keeping the forward pass deterministic and batch-size independent. A conv
 unit's affine and ReLU live inside its ``conv2d`` op, and a residual block's
@@ -12,6 +14,7 @@ one tape node, and no block keeps its pre-join output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .tensor import ParamRegistry, Tensor, conv2d, global_avg_pool
 
-STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5; the stem is always stride 2
+STEM_STRIDE = 2
+STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5
 
 
 @dataclass
@@ -69,26 +73,16 @@ class FeaturePyramid:
     embedding: Tensor
 
 
-def _conv_out(n: int, kernel: int, stride: int, padding: int) -> int:
-    return (n + 2 * padding - kernel) // stride + 1
-
-
 def feature_map_dims(h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Spatial dims of the stage-4 and stage-5 maps for an h x w input.
 
-    Pure stride arithmetic; raises before any compute if the input is too
-    small for the stride chain.
+    Each conv pads by ``kernel // 2`` and so maps n cells to ceil(n / stride);
+    a map's size is therefore one rounded-up division of the input's by the
+    product of the strides before it: 8 for stage 4 and 16 for stage 5.
     """
-    if h < 16 or w < 16:
-        raise ConfigurationError(
-            f"input {h}x{w} too small for the stride chain (needs >= 16 per axis)"
-        )
-    dims = (_conv_out(h, 7, 2, 3), _conv_out(w, 7, 2, 3))
-    per_stage = []
-    for stride in STAGE_STRIDES:
-        dims = (_conv_out(dims[0], 3, stride, 1), _conv_out(dims[1], 3, stride, 1))
-        per_stage.append(dims)
-    return per_stage[2], per_stage[3]
+    s4 = STEM_STRIDE * math.prod(STAGE_STRIDES[:3])
+    s5 = s4 * STAGE_STRIDES[3]
+    return (-(-h // s4), -(-w // s4)), (-(-h // s5), -(-w // s5))
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -99,9 +93,9 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class ConvUnit:
     """Convolution, learnable per-channel affine and optional ReLU, as one ``conv2d`` op."""
 
-    def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, padding, relu):
+    def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, relu):
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
         self.relu = relu
         self.weight = registry.register(
             f"{name}.weight",
@@ -129,15 +123,15 @@ class ResidualBlock:
     def __init__(self, registry, rng, name, c_in, c_out, stride, block_type):
         self.block_type = block_type
         if block_type == "basic":
-            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, c_out, 3, stride, 1, relu=True)
-            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", c_out, c_out, 3, 1, 1, relu=False)
+            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, c_out, 3, stride, relu=True)
+            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", c_out, c_out, 3, 1, relu=False)
         else:
             mid = c_out // 4
-            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, mid, 1, 1, 0, relu=True)
-            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", mid, mid, 3, stride, 1, relu=True)
-            self.conv_c = ConvUnit(registry, rng, f"{name}.conv_c", mid, c_out, 1, 1, 0, relu=False)
+            self.conv_a = ConvUnit(registry, rng, f"{name}.conv_a", c_in, mid, 1, 1, relu=True)
+            self.conv_b = ConvUnit(registry, rng, f"{name}.conv_b", mid, mid, 3, stride, relu=True)
+            self.conv_c = ConvUnit(registry, rng, f"{name}.conv_c", mid, c_out, 1, 1, relu=False)
         if stride != 1 or c_in != c_out:
-            self.proj = ConvUnit(registry, rng, f"{name}.proj", c_in, c_out, 1, stride, 0, relu=False)
+            self.proj = ConvUnit(registry, rng, f"{name}.proj", c_in, c_out, 1, stride, relu=False)
         else:
             self.proj = None
 
@@ -150,18 +144,37 @@ class ResidualBlock:
         return last.join(y, shortcut)
 
 
-@dataclass
 class Backbone:
-    config: BackboneConfig
-    stem: ConvUnit
-    stages: list  # per stage 2-5, its list of ResidualBlock
+    """The stem and stages 2-5 of residual blocks, registered in ``registry`` in layer order.
+
+    The draws advance ``rng`` itself, so a caller can go on drawing from it
+    after the backbone.
+    """
+
+    def __init__(self, config: BackboneConfig, rng: np.random.Generator, registry: ParamRegistry):
+        self.config = config
+        c = config.stage_channels
+        self.stem = ConvUnit(
+            registry, rng, "backbone.conv1", config.in_channels, c[0], 7, STEM_STRIDE, relu=True
+        )
+        self.stages = []  # per stage 2-5, its list of ResidualBlock
+        for i, (c_in, c_out, n_blocks, stride) in enumerate(
+            zip(c, c[1:], config.blocks_per_stage, STAGE_STRIDES), start=2
+        ):
+            # The first block takes the stage's input width and stride.
+            plan = [(c_in, stride)] + [(c_out, 1)] * (n_blocks - 1)
+            self.stages.append([
+                ResidualBlock(
+                    registry, rng, f"backbone.stage{i}.block{b}", c_b, c_out, s, config.block_type
+                )
+                for b, (c_b, s) in enumerate(plan, start=1)
+            ])
 
     def forward(self, x: Tensor) -> FeaturePyramid:
         if x.data.ndim != 4 or x.data.shape[1] != self.config.in_channels:
             raise ConfigurationError(
                 f"backbone expects [N,{self.config.in_channels},H,W], got {x.data.shape}"
             )
-        feature_map_dims(x.data.shape[2], x.data.shape[3])  # raises if too small
         y = self.stem.forward(x)
         outputs = []
         for stage in self.stages:
@@ -170,36 +183,3 @@ class Backbone:
             outputs.append(y)
         f_m4, f_m5 = outputs[2], outputs[3]
         return FeaturePyramid(f_m4=f_m4, f_m5=f_m5, embedding=global_avg_pool(f_m5))
-
-
-def build_backbone(
-    config: BackboneConfig, rng: np.random.Generator, registry: ParamRegistry
-) -> Backbone:
-    """Register every backbone parameter in ``registry``, initialised from ``rng``.
-
-    The draws advance ``rng`` itself, so a caller can go on drawing from it
-    after the backbone.
-    """
-    c = config.stage_channels
-    stem = ConvUnit(registry, rng, "backbone.conv1", config.in_channels, c[0], 7, 2, 3, relu=True)
-    stages = []
-    c_in = c[0]
-    for stage_idx, (c_out, n_blocks, stride) in enumerate(
-        zip(c[1:], config.blocks_per_stage, STAGE_STRIDES), start=2
-    ):
-        blocks = []
-        for b in range(n_blocks):
-            blocks.append(
-                ResidualBlock(
-                    registry,
-                    rng,
-                    f"backbone.stage{stage_idx}.block{b + 1}",
-                    c_in if b == 0 else c_out,
-                    c_out,
-                    stride if b == 0 else 1,
-                    config.block_type,
-                )
-            )
-        stages.append(blocks)
-        c_in = c_out
-    return Backbone(config=config, stem=stem, stages=stages)

@@ -142,8 +142,8 @@ def write_wav(path, clip: AudioClip) -> None:
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling; identity when rates match."""
-    if target_rate <= 0:
-        raise ConfigurationError(f"bad target rate: {target_rate}")
+    if not 0 < target_rate < np.inf:
+        raise ConfigurationError(f"target rate must be finite and positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return AudioClip(clip.samples.copy(), clip.sample_rate)
     n_out = int(round(clip.samples.size * target_rate / clip.sample_rate))
@@ -155,8 +155,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
 def fix_length(clip: AudioClip, seconds: float) -> AudioClip:
     """Truncate or zero-pad (at the end) to exactly round(seconds * rate)."""
-    if seconds <= 0:
-        raise ConfigurationError(f"bad target duration: {seconds}")
+    if not 0 < seconds < np.inf:
+        raise ConfigurationError(f"target duration must be finite and positive, got {seconds}")
     n = int(round(seconds * clip.sample_rate))
     if clip.samples.size >= n:
         out = clip.samples[:n].copy()
@@ -224,8 +224,9 @@ def extract_logmel(
     framing with reflect padding, so the frame count is
     1 + floor(num_samples / hop).
     """
-    if hop < 1:
-        raise ConfigurationError(f"hop must be >= 1, got {hop}")
+    for name, value in (("hop", hop), ("n_fft", n_fft)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     samples = clip.samples
     if samples.size < 2:
         raise DataError(
@@ -266,6 +267,8 @@ def load_image(path, size: int | None = None) -> Tensor:
     Grayscale images are replicated across the three channels; ``size``
     triggers a bilinear resize to size x size.
     """
+    if size is not None and size < 1:
+        raise ConfigurationError(f"image size must be >= 1, got {size}")
     pixels, maxval = read_pnm(path)
     if pixels.ndim == 2:
         pixels = np.repeat(pixels[:, :, None], 3, axis=2)

@@ -31,7 +31,8 @@ class SceneGraph:
     adjacency: np.ndarray  # [K, K], symmetric, zero diagonal
 
 
-def _validate_k(k: int, cells: int) -> None:
+def validate_k(k: int, cells: int) -> None:
+    """Raise unless k is a positive multiple of 4 and a map of ``cells`` holds 3*k nodes."""
     if k < 4 or k % 4:
         raise ConfigurationError(f"node count must be a positive multiple of 4, got {k}")
     if cells < 3 * k:
@@ -49,7 +50,7 @@ def select_nodes(values: np.ndarray, k: int):
     flat index. Both index arrays are returned ascending, restoring the
     original spatial order.
     """
-    _validate_k(k, values.size)
+    validate_k(k, values.size)
     # Stable argsort of the negated values: descending, ties by lower index.
     order = np.argsort(-values, kind="stable")
     m_left = values.size // 2 - k // 2
@@ -59,7 +60,7 @@ def select_nodes(values: np.ndarray, k: int):
 @functools.lru_cache(maxsize=64)
 def edge_mask(k: int) -> np.ndarray:
     """Read-only bool [K,K]: same 4-node group, or neighbouring group centers."""
-    _validate_k(k, 3 * k)  # no map here: only the multiple-of-4 rule can fail
+    validate_k(k, 3 * k)  # no map here: only the multiple-of-4 rule can fail
     q = k // 4
     r = np.arange(k)
     mask = r[:, None] % q == r[None, :] % q

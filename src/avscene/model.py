@@ -30,11 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, build_backbone, he_uniform
+from .backbone import Backbone, BackboneConfig, feature_map_dims, he_uniform
 from .errors import ConfigurationError, DataError, NumericError
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout, propagation_matrix
-from .graphs import build_scene_graphs
+from .graphs import build_scene_graphs, validate_k
 from .tensor import (
     ParamRegistry,
     Tensor,
@@ -135,7 +135,7 @@ class SceneModel:
         rng = np.random.default_rng(config.seed)
         c4, c5 = config.backbone.stage_channels[3:]
         graph = not config.disable_graph
-        self.backbone = build_backbone(config.backbone, rng, registry)
+        self.backbone = Backbone(config.backbone, rng, registry)
         self.fusion = AttentionFusion(registry, c4, c5, rng) if graph else None
         # Node features are top-intensity cells, several times the typical
         # activation scale; a plain fan-in init makes the first SGD steps
@@ -172,7 +172,21 @@ class SceneModel:
         The input is [N, 2*K*C_gcn + C5], the graph readout next to the
         backbone embedding, or, with ``disable_graph``, the [N, C5] embedding
         alone and no graphs. x is cast to the registry's dtype first.
+
+        A graph model first checks that the input's stage-4 map holds the
+        3*k_nodes cells ``validate_k`` needs: a too-small input fails here,
+        before the backbone runs. An ablated model takes any H, W >= 1.
         """
+        if not self.config.disable_graph and x.data.ndim == 4:  # other ranks fail in the backbone
+            h, w = x.data.shape[2:]
+            (h4, w4), _ = feature_map_dims(h, w)
+            try:
+                validate_k(self.config.k_nodes, h4 * w4)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"input {h}x{w} gives a {h4}x{w4} stage-4 map, too small for "
+                    f"k_nodes={self.config.k_nodes}: {exc}"
+                ) from None
         pyramid = self.backbone.forward(cast(x, self.registry.dtype))
         if self.config.disable_graph:
             return pyramid.embedding, []
@@ -290,6 +304,14 @@ def synth_dataset(
         raise ConfigurationError(f"unknown synthetic kind {kind!r}")
     if not 2 <= classes <= 8:
         raise ConfigurationError(f"classes must be in [2, 8], got {classes}")
+    # Audio slots are height//8 by width//4 and the visual target is one
+    # quadrant: a smaller input leaves the target empty, and its label unseen.
+    least = {"audio": (8, 4), "visual": (2, 2)}[kind]
+    for name, value, low in zip(("height", "width"), (height, width), least):
+        if value < low:
+            raise ConfigurationError(
+                f"{kind} {name} must be >= {low} to hold the target, got {value}"
+            )
     rng = np.random.default_rng(seed)
     examples = []
     for i in range(n):
@@ -393,7 +415,7 @@ class EpochStats:
     lr: float
     loss: float
     train_accuracy: float
-    test_accuracy: float
+    test_accuracy: float | None  # None without a test split
 
 
 @dataclass
@@ -402,7 +424,7 @@ class TrainReport:
     confusion: np.ndarray
 
     @property
-    def final_test_accuracy(self) -> float:
+    def final_test_accuracy(self) -> float | None:
         return self.epochs[-1].test_accuracy
 
     @property
@@ -462,6 +484,8 @@ def evaluate(model: SceneModel, examples) -> EvalResult:
 def train(config: ModelConfig, dataset: Dataset, progress=None):
     """Train a fresh model on dataset.train, tracking test accuracy per epoch.
 
+    Without a test split, each epoch's test accuracy is None: nothing was measured.
+
     Returns (model, TrainReport). The report's confusion matrix is the last
     epoch's on the test split, or on the train split when there is no test
     split. Deterministic given config.seed: the shuffle sequence,
@@ -508,7 +532,7 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
             lr=lr,
             loss=loss_sum / n_train,
             train_accuracy=correct / n_train,
-            test_accuracy=tested.accuracy if tested else 0.0,
+            test_accuracy=tested.accuracy if tested else None,
         )
         history.append(stats)
         if progress is not None:

@@ -320,6 +320,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ConfigurationError(
             f"linear: x {xn.shape} incompatible with w {w.data.shape}"
         )
+    if b is not None and b.data.shape != w.data.shape[:1]:
+        raise ConfigurationError(
+            f"linear: b shape {b.data.shape} != ({w.data.shape[0]},) of w {w.data.shape}"
+        )
     y = (xn[:, None, :] @ w.data.T)[:, 0] if xn.ndim == 2 else xn @ w.data.T
     if b is not None:
         y = y + b.data

@@ -10,7 +10,6 @@ from avscene.backbone import (
     Backbone,
     BackboneConfig,
     ResidualBlock,
-    build_backbone,
     feature_map_dims,
 )
 from avscene.errors import ConfigurationError
@@ -19,7 +18,7 @@ from avscene.errors import ConfigurationError
 def build(config, seed):
     """(backbone, its float64 registry), initialised from ``seed``."""
     registry = T.ParamRegistry(np.float64)
-    return build_backbone(config, np.random.default_rng(seed), registry), registry
+    return Backbone(config, np.random.default_rng(seed), registry), registry
 
 
 def count_params_basic(in_channels, channels, blocks):
@@ -75,12 +74,12 @@ class TestBuild:
     def test_leaves_the_callers_generator_advanced(self):
         # SceneModel.build goes on drawing from the same Generator.
         rng = np.random.default_rng(5)
-        build_backbone(BackboneConfig.tiny(1), rng, T.ParamRegistry(np.float64))
+        Backbone(BackboneConfig.tiny(1), rng, T.ParamRegistry(np.float64))
         after = rng.uniform(size=4)
         fresh = np.random.default_rng(5)
         assert not np.array_equal(after, fresh.uniform(size=4))
         fresh = np.random.default_rng(5)
-        build_backbone(BackboneConfig.tiny(1), fresh, T.ParamRegistry(np.float64))
+        Backbone(BackboneConfig.tiny(1), fresh, T.ParamRegistry(np.float64))
         assert np.array_equal(after, fresh.uniform(size=4))
 
     def test_different_seed_differs(self):
@@ -118,15 +117,19 @@ class TestForward:
     def test_stride_arithmetic_helper(self):
         assert feature_map_dims(224, 224) == ((28, 28), (14, 14))
         assert feature_map_dims(201, 64) == ((26, 8), (13, 4))
+        assert feature_map_dims(1, 17) == ((1, 3), (1, 2))
 
     def test_stride_arithmetic_range(self):
-        # Holds for any visual input >= 32x32 and audio input >= 64x32.
-        for h in (32, 33, 63, 64, 100, 201):
-            for w in (32, 45, 64):
-                (h4, w4), (h5, w5) = feature_map_dims(h, w)
-                assert h4 == (((h - 1) // 2) // 2 + 1 - 1) // 2 + 1 or h4 >= 1
-                assert h5 == (h4 - 1) // 2 + 1
-                assert w5 == (w4 - 1) // 2 + 1
+        # The helper against the maps a real forward makes, for every height
+        # from 1 to 64 and both block types: there is no smallest input.
+        for block_type in ("basic", "bottleneck"):
+            net, _ = build(BackboneConfig(1, [2, 4, 4, 4, 4], [1, 1, 1, 1], block_type), 0)
+            for h in range(1, 65):
+                for w in (1, 7, 16, 45):
+                    with T.no_grad():
+                        pyramid = net.forward(T.Tensor(np.ones((1, 1, h, w))))
+                    dims = (pyramid.f_m4.shape[2:], pyramid.f_m5.shape[2:])
+                    assert feature_map_dims(h, w) == dims, (block_type, h, w)
 
     def test_zero_input_zero_embedding(self):
         # Affine shifts start at zero, convs have no bias: zeros propagate.
@@ -140,10 +143,6 @@ class TestForward:
         net, _ = build(BackboneConfig.tiny(1), 0)
         with pytest.raises(ConfigurationError):
             net.forward(T.Tensor(np.zeros((1, 3, 64, 32))))
-
-    def test_too_small_input(self):
-        with pytest.raises(ConfigurationError):
-            feature_map_dims(2, 2)
 
     def test_gradients_reach_every_parameter(self):
         net, registry = build(BackboneConfig.tiny(1), 3)

@@ -8,7 +8,7 @@ import pytest
 
 from avscene import frontend as fe
 from avscene import pnm
-from avscene.errors import DataError
+from avscene.errors import ConfigurationError, DataError
 
 
 def make_clip(samples, rate=16000):
@@ -190,6 +190,26 @@ class TestFixLength:
         clip = make_clip(np.random.default_rng(1).uniform(-1, 1, 80000))
         out = fe.fix_length(clip, 5.0)
         assert np.array_equal(out.samples, clip.samples)
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda clip, image: fe.load_image(image, size=0), "image size must be >= 1, got 0"),
+            (lambda clip, image: fe.load_image(image, size=-1), "image size must be >= 1, got -1"),
+            (lambda clip, image: fe.fix_length(clip, float("nan")), "duration .* got nan"),
+            (lambda clip, image: fe.fix_length(clip, float("inf")), "duration .* got inf"),
+            (lambda clip, image: fe.resample(clip, float("nan")), "target rate .* got nan"),
+            (lambda clip, image: fe.extract_logmel(clip, n_fft=0), "n_fft must be >= 1, got 0"),
+        ],
+        ids=["size_0", "size_-1", "seconds_nan", "seconds_inf", "rate_nan", "n_fft_0"],
+    )
+    def test_bad_value_is_a_configuration_error_naming_it(self, tmp_path, call, message):
+        image = tmp_path / "x.ppm"
+        pnm.write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match=message + "$"):
+            call(make_clip(np.zeros(800)), image)
 
 
 class TestLogMel:

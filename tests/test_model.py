@@ -9,7 +9,7 @@ import pytest
 
 from avscene import model as M
 from avscene import tensor as T
-from avscene.backbone import BackboneConfig
+from avscene.backbone import Backbone, BackboneConfig
 from avscene.errors import ConfigurationError, DataError, NumericError
 from avscene.fusion import AttentionFusion
 from avscene.gcn import gcn_layer, graph_readout, propagation_matrix
@@ -740,6 +740,54 @@ class TestDisableGraph:
         assert sizes == [28_351_562, 23_528_522]
 
 
+class TestInputSize:
+    # The one size rule is the graphs' 3*k stage-4 cells, checked at the
+    # model boundary; the backbone itself runs on any H, W >= 1.
+    def test_too_small_for_k_nodes_fails_before_the_backbone(self, monkeypatch):
+        model = SceneModel.build(ModelConfig.tiny(k_nodes=20))
+        backbone_runs = count_calls(monkeypatch, Backbone, "forward")
+        message = r"^input 64x32 gives a 8x4 stage-4 map, too small for k_nodes=20: .* 32 cells"
+        with pytest.raises(ConfigurationError, match=message):
+            model.forward(T.Tensor(np.zeros((2, 1, 64, 32))))
+        assert backbone_runs == []
+
+    def test_smallest_map_for_k_nodes_is_classified(self):
+        # 15x48 gives a 2x6 stage-4 map: 12 cells, exactly 3*k for k=4.
+        model = micro_model(0)
+        x = T.Tensor(np.random.default_rng(0).standard_normal((2, 1, 15, 48)))
+        with T.no_grad():
+            assert model.forward(x).shape == (2, 3)
+        with pytest.raises(ConfigurationError, match="2x5 stage-4 map, too small for k_nodes=4"):
+            model.forward(T.Tensor(np.zeros((1, 1, 15, 40))))
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (5, 2), (17, 33)])
+    def test_ablated_model_takes_any_size(self, h, w):
+        model = SceneModel.build(ModelConfig.tiny(disable_graph=True))
+        with T.no_grad():
+            logits = model.forward(T.Tensor(np.ones((1, 1, h, w))))
+        assert logits.shape == (1, 4)
+
+
+class TestSynthDataset:
+    @pytest.mark.parametrize(
+        "kind, height, width, message",
+        [
+            ("audio", 4, 32, "audio height must be >= 8 to hold the target, got 4"),
+            ("audio", 64, 2, "audio width must be >= 4 to hold the target, got 2"),
+            ("visual", 1, 32, "visual height must be >= 2 to hold the target, got 1"),
+            ("visual", 32, 0, "visual width must be >= 2 to hold the target, got 0"),
+        ],
+    )
+    def test_size_without_a_target_names_the_dimension(self, kind, height, width, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            synth_dataset(kind, 4, 1, seed=0, height=height, width=width)
+
+    @pytest.mark.parametrize("kind, size", [("audio", (64, 32)), ("visual", (128, 128))])
+    def test_benchmark_sizes_pass(self, kind, size):
+        (example,) = synth_dataset(kind, 4, 1, seed=0, height=size[0], width=size[1])
+        assert example.x.shape[1:] == size
+
+
 class TestTrainLabels:
     @pytest.mark.parametrize("split, index", [("train", 2), ("test", 3)])
     def test_bad_label_raises_before_any_step(self, monkeypatch, split, index):
@@ -803,6 +851,9 @@ class TestTrainEvaluations:
         assert np.array_equal(report.confusion, fresh.confusion)
         if n_test:
             assert report.final_test_accuracy == fresh.accuracy
+        else:  # not measured, so absent rather than 0
+            assert report.final_test_accuracy is None
+            assert [e.test_accuracy for e in report.epochs] == [None] * 3
 
 
 class TestCheckpoint:

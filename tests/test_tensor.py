@@ -425,6 +425,14 @@ class TestLinearRank3:
         with pytest.raises(ConfigurationError, match="linear"):
             T.linear(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((2, 3))))
 
+    @pytest.mark.parametrize("b_shape", [(1,), (4, 1), (3,)])
+    def test_bias_of_another_shape_names_both_shapes(self, b_shape):
+        # A (1,) bias would broadcast in the forward and take a (4,) gradient.
+        x, w, b = (T.Tensor(np.zeros(shape)) for shape in ((2, 3), (4, 3), b_shape))
+        want = re.escape(f"linear: b shape {b_shape} != (4,) of w (4, 3)")
+        with pytest.raises(ConfigurationError, match=f"^{want}$"):
+            T.linear(x, w, b)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_backward_matches_per_sample_products(self, n):
         rng = np.random.default_rng(41 + n)
