@@ -140,13 +140,29 @@ def write_wav(path, clip: AudioClip) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _sample_count(samples: float, setting: str) -> int:
+    """``round(samples)``, or ConfigurationError naming ``setting`` past numpy's size limit.
+
+    numpy cannot describe a float64 array whose byte size exceeds an index,
+    so such a count is a bad setting. A smaller count that memory cannot
+    hold still raises numpy's MemoryError.
+    """
+    if samples > np.iinfo(np.intp).max // 8:  # inf included
+        raise ConfigurationError(
+            f"{setting} asks for {samples:.3g} samples, more than a float64 array can hold"
+        )
+    return int(round(samples))
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Linear-interpolation resampling; identity when rates match."""
     if not 0 < target_rate < np.inf:
         raise ConfigurationError(f"target rate must be finite and positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return AudioClip(clip.samples.copy(), clip.sample_rate)
-    n_out = int(round(clip.samples.size * target_rate / clip.sample_rate))
+    n_out = _sample_count(
+        clip.samples.size * target_rate / clip.sample_rate, f"target rate {target_rate}"
+    )
     n_out = max(n_out, 1)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     resampled = np.interp(positions, np.arange(clip.samples.size), clip.samples)
@@ -157,7 +173,7 @@ def fix_length(clip: AudioClip, seconds: float) -> AudioClip:
     """Truncate or zero-pad (at the end) to exactly round(seconds * rate)."""
     if not 0 < seconds < np.inf:
         raise ConfigurationError(f"target duration must be finite and positive, got {seconds}")
-    n = int(round(seconds * clip.sample_rate))
+    n = _sample_count(seconds * clip.sample_rate, f"target duration {seconds} s")
     if clip.samples.size >= n:
         out = clip.samples[:n].copy()
     else:

@@ -2,33 +2,27 @@
 
 From the fused feature map we rank spatial positions by channel-summed
 intensity, pick the top-K positions (salient graph) and the middle-K
-positions of the ranking (contextual graph), and weight edges by the
-Manhattan distance between node grid positions. Selection is plain indexing:
-gradients flow through the gathered node features only, never through the
-ranking.
+positions of the ranking (contextual graph), and gather their features.
+Selection is plain indexing: gradients flow through the gathered node
+features only, never through the ranking.
 
-The edge set is the constant ``edge_mask(k)``: 4-node groups
-{i, i+k/4, i+2k/4, i+3k/4} (stated 1-based) plus a chain linking the group
-centers, ranks 2k/4 ... 3k/4-1 (0-based). Only the node positions, and so
-the edge weights, vary per sample.
+A graph is determined by its node positions. The edge set is the constant
+``edge_mask(k)``: 4-node groups {i, i+k/4, i+2k/4, i+3k/4} (stated 1-based)
+plus a chain linking the group centers, ranks 2k/4 ... 3k/4-1 (0-based).
+Each edge is weighted by the Manhattan distance between its nodes' grid
+positions, and ``propagation_matrix`` renormalizes these weights as
+(D+I)^{-1/2} (A+I) (D+I)^{-1/2} (Kipf & Welling), with D the weighted
+degree, which bounds every eigenvalue in [-1, 1].
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .tensor import Tensor, gather_pixels
-
-
-@dataclass
-class SceneGraph:
-    node_features: Tensor  # [1, K, C]
-    flat_indices: np.ndarray  # [K], ascending row-major grid indices
-    adjacency: np.ndarray  # [K, K], symmetric, zero diagonal
 
 
 def validate_k(k: int, cells: int) -> None:
@@ -71,25 +65,33 @@ def edge_mask(k: int) -> np.ndarray:
     return mask
 
 
-def adjacency(flat_indices: np.ndarray, w: int) -> np.ndarray:
-    """Manhattan distance between grid positions on the edges of edge_mask(k).
+def propagation_matrix(flat_indices: np.ndarray, w: int) -> np.ndarray:
+    """[K,K] (D+I)^{-1/2} (A+I) (D+I)^{-1/2} of the graph on these node positions.
 
-    A connected pair at coincident positions keeps its edge with weight 0.
+    flat_indices are row-major positions on a grid of width w. A holds the
+    Manhattan distance between positions on the edges of ``edge_mask(k)``
+    and 0 elsewhere, so it is symmetric with a zero diagonal; D is the
+    diagonal of its row sums. A connected pair at coincident positions keeps
+    its edge with weight 0.
     """
     x, y = flat_indices % w, flat_indices // w
     dist = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
-    return (edge_mask(len(flat_indices)) * dist).astype(np.float64)
+    adj = (edge_mask(len(flat_indices)) * dist).astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+    np.fill_diagonal(adj, 1.0)  # A's diagonal is 0, so adj is now A + I
+    return inv_sqrt[:, None] * adj * inv_sqrt[None, :]
 
 
 def build_scene_graphs(f_ffr: Tensor, k: int):
-    """Full pipeline from a fused feature map f_ffr[1,C,H,W] to both graphs."""
+    """Both graphs' node features from a fused feature map f_ffr[1,C,H,W].
+
+    Returns ((salient, contextual), indices): the [1,K,C] node features of
+    each graph and the int64 [2,K] flat positions of their nodes, salient
+    row first, each row ascending.
+    """
     if f_ffr.data.ndim != 4 or f_ffr.data.shape[0] != 1:
         raise ConfigurationError(
             f"build_scene_graphs expects a [1,C,H,W] map, got {f_ffr.data.shape}"
         )
-    w = f_ffr.data.shape[3]
-    salient, contextual = select_nodes(f_ffr.data.sum(axis=1).reshape(-1), k)
-    return tuple(
-        SceneGraph(gather_pixels(f_ffr, idx), idx, adjacency(idx, w))
-        for idx in (salient, contextual)
-    )
+    indices = np.stack(select_nodes(f_ffr.data.sum(axis=1).reshape(-1), k))
+    return tuple(gather_pixels(f_ffr, idx) for idx in indices), indices

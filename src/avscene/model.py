@@ -8,11 +8,12 @@ The graph stage is split between per-sample and batched work. Node
 selection, the gather of node features and the propagation matrices stay
 per sample (``build_scene_graphs`` on ``slice_batch`` and
 ``propagation_matrix``), because the benchmark counts those calls per
-sample. Their [1,K,C] node features and [K,K] matrices are then stacked into
-[N,K,C] and [N,K,K], so each graph's convolution is one ``gcn_layer`` over
-the batch, followed by one ``graph_readout``. The edge set is the constant
-``edge_mask(k)`` of ``graphs.py``: only the selected node positions, and so
-the edge weights, vary from sample to sample. Training is plain SGD
+sample. A graph is passed on as its node positions, one row of the [2,K]
+index array ``build_scene_graphs`` returns: the edge set is the constant
+``edge_mask(k)`` of ``graphs.py``, so the positions fix the edge weights.
+The [1,K,C] node features and [K,K] matrices are stacked into [N,K,C] and
+[N,K,K], so each graph's convolution is one ``gcn_layer`` over the batch,
+followed by one ``graph_readout``. Training is plain SGD
 with momentum and a step learning-rate schedule; everything is deterministic
 given the config seed.
 
@@ -33,8 +34,8 @@ import numpy as np
 from .backbone import Backbone, BackboneConfig, feature_map_dims, he_uniform
 from .errors import ConfigurationError, DataError, NumericError
 from .fusion import AttentionFusion
-from .gcn import gcn_layer, graph_readout, propagation_matrix
-from .graphs import build_scene_graphs, validate_k
+from .gcn import gcn_layer, graph_readout
+from .graphs import build_scene_graphs, propagation_matrix, validate_k
 from .tensor import (
     ParamRegistry,
     Tensor,
@@ -167,45 +168,49 @@ class SceneModel:
         return c5 if cfg.disable_graph else 2 * cfg.k_nodes * cfg.gcn_out_channels + c5
 
     def features(self, x: Tensor):
-        """Classifier input [N, feature_width]; also returns per-sample graphs.
+        """Classifier input [N, feature_width] and the graphs' node positions.
 
         The input is [N, 2*K*C_gcn + C5], the graph readout next to the
         backbone embedding, or, with ``disable_graph``, the [N, C5] embedding
-        alone and no graphs. x is cast to the registry's dtype first.
+        alone. The positions are the int64 [N,2,K] flat indices into the
+        fused map's H*W grid, salient row first, as ``build_scene_graphs``
+        returns them per sample; ``None`` with ``disable_graph``. x is cast
+        to the registry's dtype first.
 
-        A graph model first checks that the input's stage-4 map holds the
-        3*k_nodes cells ``validate_k`` needs: a too-small input fails here,
-        before the backbone runs. An ablated model takes any H, W >= 1.
+        An empty input (a zero-sized axis) fails here, before the backbone
+        runs. So does, for a graph model, an input whose stage-4 map does
+        not hold the 3*k_nodes cells ``validate_k`` needs. An ablated model
+        takes any H, W >= 1.
         """
-        if not self.config.disable_graph and x.data.ndim == 4:  # other ranks fail in the backbone
-            h, w = x.data.shape[2:]
-            (h4, w4), _ = feature_map_dims(h, w)
-            try:
-                validate_k(self.config.k_nodes, h4 * w4)
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"input {h}x{w} gives a {h4}x{w4} stage-4 map, too small for "
-                    f"k_nodes={self.config.k_nodes}: {exc}"
-                ) from None
+        if x.data.ndim == 4:  # other ranks fail in the backbone
+            if 0 in x.data.shape:
+                raise ConfigurationError(f"input of shape {x.data.shape} is empty")
+            if not self.config.disable_graph:
+                h, w = x.data.shape[2:]
+                (h4, w4), _ = feature_map_dims(h, w)
+                try:
+                    validate_k(self.config.k_nodes, h4 * w4)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"input {h}x{w} gives a {h4}x{w4} stage-4 map, too small for "
+                        f"k_nodes={self.config.k_nodes}: {exc}"
+                    ) from None
         pyramid = self.backbone.forward(cast(x, self.registry.dtype))
         if self.config.disable_graph:
-            return pyramid.embedding, []
+            return pyramid.embedding, None
         f_ffr = self.fusion.forward(pyramid.f_m4, pyramid.f_m5)
-        graphs = [
-            build_scene_graphs(slice_batch(f_ffr, i), self.config.k_nodes)
-            for i in range(x.data.shape[0])
-        ]
-        outputs = []
-        for b, branch in enumerate(("sag", "cag")):
-            batch = [pair[b] for pair in graphs]
-            outputs.append(
-                gcn_layer(
-                    concat([g.node_features for g in batch], axis=0),
-                    np.stack([propagation_matrix(g.adjacency) for g in batch]),
-                    self.thetas[branch],
-                )
+        k, (n, _, _, w) = self.config.k_nodes, f_ffr.data.shape
+        nodes, indices = zip(*(build_scene_graphs(slice_batch(f_ffr, i), k) for i in range(n)))
+        outputs = [
+            gcn_layer(
+                concat([pair[b] for pair in nodes], axis=0),
+                np.stack([propagation_matrix(idx[b], w) for idx in indices]),
+                self.thetas[branch],
             )
-        return concat([graph_readout(*outputs), pyramid.embedding], axis=1), graphs
+            for b, branch in enumerate(("sag", "cag"))
+        ]
+        feats = concat([graph_readout(*outputs), pyramid.embedding], axis=1)
+        return feats, np.stack(indices)
 
     def forward(self, x: Tensor) -> Tensor:
         feats, _ = self.features(x)

@@ -45,7 +45,7 @@ import contextvars
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -797,8 +797,11 @@ class ParamRegistry:
 class GradCheckReport:
     """Per-parameter worst relative error between analytic and central-difference gradients."""
 
-    per_param: dict = field(default_factory=dict)
-    max_relative_error: float = 0.0
+    per_param: dict
+
+    @property
+    def max_relative_error(self) -> float:
+        return max(self.per_param.values(), default=0.0)
 
     def worst_param(self) -> str:
         if not self.per_param:
@@ -826,7 +829,7 @@ def finite_diff_check(
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in registry.items()
     }
-    report = GradCheckReport()
+    per_param = {}
     with no_grad():
         for name, p in registry.items():
             flat = p.data.reshape(-1)
@@ -845,9 +848,8 @@ def finite_diff_check(
                 rel = abs(fd - ga[i]) / max(abs(fd), abs(ga[i]), 1e-8)
                 if rel > worst:
                     worst = rel
-            report.per_param[name] = worst
-    report.max_relative_error = max(report.per_param.values(), default=0.0)
-    return report
+            per_param[name] = worst
+    return GradCheckReport(per_param)
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,26 @@ class TestArguments:
             (lambda clip, image: fe.fix_length(clip, float("nan")), "duration .* got nan"),
             (lambda clip, image: fe.fix_length(clip, float("inf")), "duration .* got inf"),
             (lambda clip, image: fe.resample(clip, float("nan")), "target rate .* got nan"),
+            (
+                lambda clip, image: fe.fix_length(clip, 1e300),
+                r"target duration 1e\+300 s asks for 1.6e\+304 samples, .* float64 array can hold",
+            ),
+            (
+                lambda clip, image: fe.resample(clip, 1e300),
+                r"target rate 1e\+300 asks for 5e\+298 samples, .* float64 array can hold",
+            ),
             (lambda clip, image: fe.extract_logmel(clip, n_fft=0), "n_fft must be >= 1, got 0"),
         ],
-        ids=["size_0", "size_-1", "seconds_nan", "seconds_inf", "rate_nan", "n_fft_0"],
+        ids=[
+            "size_0",
+            "size_-1",
+            "seconds_nan",
+            "seconds_inf",
+            "rate_nan",
+            "seconds_1e300",
+            "rate_1e300",
+            "n_fft_0",
+        ],
     )
     def test_bad_value_is_a_configuration_error_naming_it(self, tmp_path, call, message):
         image = tmp_path / "x.ppm"

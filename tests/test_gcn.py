@@ -1,104 +1,47 @@
-"""Spectral graph convolution: normalization contracts and layer math."""
+"""Spectral graph convolution: the propagation matrix's spectral contract and layer math."""
 
 import numpy as np
 import pytest
 
 from avscene import gcn
 from avscene import tensor as T
-from avscene.errors import ConfigurationError, DataError
+from avscene.errors import ConfigurationError
+from avscene.graphs import propagation_matrix
 
 
-def random_adjacency(rng, k):
-    """Random valid adjacency: symmetric, nonnegative, zero diagonal."""
-    raw = rng.uniform(0.0, 5.0, size=(k, k)) * (rng.random((k, k)) < 0.4)
-    adj = np.triu(raw, 1)
-    return adj + adj.T
+def random_positions(rng, k):
+    """k flat positions on a small grid, so coincident positions are common."""
+    w = int(rng.integers(1, 6))
+    return rng.integers(0, w * int(rng.integers(1, 6)), size=k), w
 
 
 class TestPropagationMatrix:
-    def test_two_node_hand_case(self):
-        l_norm = gcn.propagation_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        want = np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
+    def test_two_site_hand_case(self):
+        # Nodes 0, 1 share cell 0 and nodes 2, 3 cell 1: every cross edge
+        # weighs 1, the two same-cell edges 0, and every degree is 2.
+        l_norm = propagation_matrix(np.array([0, 0, 1, 1]), 4)
+        want = np.array([[1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1]]) / 3
         assert np.max(np.abs(l_norm - want)) < 1e-12
         eig = np.sort(np.linalg.eigvalsh(l_norm))
-        assert eig[1] == pytest.approx(1.0, abs=1e-12)
-        assert eig[0] == pytest.approx(-1 / 3, abs=1e-12)
+        assert eig == pytest.approx([-1 / 3, 1 / 3, 1 / 3, 1.0], abs=1e-12)
 
     def test_isolated_nodes_give_identity(self):
-        assert np.array_equal(gcn.propagation_matrix(np.zeros((5, 5))), np.eye(5))
+        # All nodes on one cell: every edge weighs 0.
+        assert np.array_equal(propagation_matrix(np.full(8, 5), 4), np.eye(8))
 
     def test_spectral_bound_sweep(self):
-        # Dense eigensolver oracle over random valid adjacencies.
+        # Dense eigensolver oracle over random positions, coincident ones included.
         rng = np.random.default_rng(2)
+        coincident = 0
         for k in (8, 20, 24):
             for _ in range(34):
-                l_norm = gcn.propagation_matrix(random_adjacency(rng, k))
+                idx, w = random_positions(rng, k)
+                coincident += len(set(idx)) < k
+                l_norm = propagation_matrix(idx, w)
                 assert np.max(np.abs(l_norm - l_norm.T)) <= 1e-12
                 radius = np.max(np.abs(np.linalg.eigvalsh(l_norm)))
                 assert radius <= 1.0 + 1e-9
-
-    def test_asymmetry_rejected(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(DataError, match="symmetric"):
-            gcn.propagation_matrix(bad)
-
-    def test_invalid_adjacency_rejected(self):
-        with pytest.raises(ConfigurationError, match="square"):
-            gcn.propagation_matrix(np.zeros((2, 3)))
-        with pytest.raises(DataError, match="negative"):
-            gcn.propagation_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(DataError, match="diagonal"):
-            gcn.propagation_matrix(np.eye(2))
-
-
-def reference_verdict(adj):
-    """The adjacency checks written with np.* functions: the message word, or None."""
-    if np.max(np.abs(adj - adj.T), initial=0.0) > 1e-12:
-        return "symmetric"
-    if np.any(adj < 0.0):
-        return "negative"
-    if np.any(np.diag(adj) != 0.0):
-        return "diagonal"
-    return None
-
-
-def adjacency_case(*entries):
-    """4x4 valid adjacency with (row, col, value) entries overwritten."""
-    adj = random_adjacency(np.random.default_rng(12), 4)
-    for i, j, value in entries:
-        adj[i, j] = value
-    return adj
-
-
-NAN = float("nan")
-VALIDATION_CASES = {
-    "valid": (),
-    "asymmetric": ((0, 1, 7.0),),
-    "negative": ((1, 2, -1.0), (2, 1, -1.0)),
-    "diagonal": ((3, 3, 0.5),),
-    "negative zero diagonal": ((3, 3, -0.0),),
-    "nan pair": ((0, 1, NAN), (1, 0, NAN)),
-    "nan one side": ((0, 1, NAN),),
-    "nan and asymmetric": ((0, 1, NAN), (2, 3, 9.0)),
-    "nan and negative": ((0, 1, NAN), (2, 3, -1.0), (3, 2, -1.0)),
-    "nan diagonal": ((2, 2, NAN),),
-}
-
-
-class TestValidation:
-    @pytest.mark.parametrize("case", VALIDATION_CASES)
-    def test_same_verdict_as_the_numpy_function_checks(self, case):
-        adj = adjacency_case(*VALIDATION_CASES[case])
-        want = reference_verdict(adj)
-        if want is None:
-            assert gcn.propagation_matrix(adj).shape == (4, 4)
-        else:
-            with pytest.raises(DataError, match=want):
-                gcn.propagation_matrix(adj)
-
-    def test_cases_reach_every_verdict(self):
-        verdicts = {reference_verdict(adjacency_case(*e)) for e in VALIDATION_CASES.values()}
-        assert verdicts == {None, "symmetric", "negative", "diagonal"}
+        assert coincident > 50
 
 
 class TestGcnLayer:
@@ -158,7 +101,7 @@ class TestGcnLayer:
         reg = T.ParamRegistry(np.float64)
         theta = reg.register("theta", rng.standard_normal((2, 3)))
         x = reg.register("x", rng.standard_normal((2, 4, 3)))
-        l_norm = np.stack([gcn.propagation_matrix(random_adjacency(rng, 4)) for _ in range(2)])
+        l_norm = np.stack([propagation_matrix(*random_positions(rng, 4)) for _ in range(2)])
 
         def loss():
             return T.total_sum(gcn.gcn_layer(x, l_norm, theta))

@@ -1,4 +1,4 @@
-"""Graph construction: node ranking, subgraph grouping, geometric adjacency."""
+"""Graph construction: node ranking, subgraph grouping, renormalized geometric adjacency."""
 
 import numpy as np
 import pytest
@@ -51,17 +51,15 @@ class TestIntensityMap:
         c0 = np.zeros(16)
         c0[5] = 100.0
         f = np.stack([c0, ramp - c0]).reshape(1, 2, 4, 4)
-        salient, contextual = G.build_scene_graphs(T.Tensor(f), 4)
-        assert list(salient.flat_indices) == [0, 1, 2, 3]
-        assert list(contextual.flat_indices) == [6, 7, 8, 9]
+        _, (salient, contextual) = G.build_scene_graphs(T.Tensor(f), 4)
+        assert list(salient) == [0, 1, 2, 3]
+        assert list(contextual) == [6, 7, 8, 9]
 
     def test_single_channel_is_flatten(self):
         rng = np.random.default_rng(0)
         f = rng.standard_normal((1, 1, 4, 5))
-        salient, contextual = G.build_scene_graphs(T.Tensor(f), 4)
-        want_sal, want_ctx = G.select_nodes(f[0, 0].reshape(-1), 4)
-        assert np.array_equal(salient.flat_indices, want_sal)
-        assert np.array_equal(contextual.flat_indices, want_ctx)
+        _, indices = G.build_scene_graphs(T.Tensor(f), 4)
+        assert np.array_equal(indices, np.stack(G.select_nodes(f[0, 0].reshape(-1), 4)))
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -70,10 +68,8 @@ class TestIntensityMap:
         for y in range(4):
             for x in range(4):
                 values[y * 4 + x] = sum(f[0, c, y, x] for c in range(3))
-        salient, contextual = G.build_scene_graphs(T.Tensor(f), 4)
-        want_sal, want_ctx = brute_force_selection(values, 4, 4, 4)
-        assert list(salient.flat_indices) == want_sal
-        assert list(contextual.flat_indices) == want_ctx
+        _, indices = G.build_scene_graphs(T.Tensor(f), 4)
+        assert indices.tolist() == list(brute_force_selection(values, 4, 4, 4))
 
     def test_rejects_non_single_map(self):
         with pytest.raises(ConfigurationError, match=r"\[1,C,H,W\]"):
@@ -175,36 +171,53 @@ class TestSubgraphs:
             mask[0, 1] = False
 
 
+def normalized(weights, i, j):
+    """w_ij / sqrt((d_i+1)(d_j+1)) for a dict {(i, j): w} of undirected edge weights."""
+    def degree(n):
+        return sum(w for pair, w in weights.items() if n in pair)
+
+    return weights.get((min(i, j), max(i, j)), 0.0) / np.sqrt((degree(i) + 1) * (degree(j) + 1))
+
+
 class TestPositionsAndAdjacency:
+    # k = 4 is one group, so all six pairs are edges.
     def test_position_rule(self):
         # x = idx % w, y = idx // w: ranks at (0, 0), (4, 1), (7, 0), (1, 0).
-        adj = G.adjacency(np.array([0, 12, 7, 1]), 8)
-        assert adj[0, 1] == 5.0  # |0-4| + |0-1|
-        assert adj[0, 2] == 7.0  # |0-7| + 0
-        assert adj[1, 2] == 4.0  # |4-7| + |1-0|
-        assert adj[1, 3] == 4.0  # |4-1| + |1-0|
+        l_norm = G.propagation_matrix(np.array([0, 12, 7, 1]), 8)
+        # |0-4| + |0-1|, |0-7| + 0, |0-1| + 0, |4-7| + |1-0|, |4-1| + |1-0|, |7-1| + 0
+        weights = {(0, 1): 5, (0, 2): 7, (0, 3): 1, (1, 2): 4, (1, 3): 4, (2, 3): 6}
+        for i, j in [(0, 1), (0, 2), (1, 2), (1, 3)]:
+            assert l_norm[i, j] == pytest.approx(normalized(weights, i, j), rel=1e-15)
+        assert l_norm[0, 1] == pytest.approx(5 / 14, rel=1e-15)  # degrees 13 and 13
 
     def test_manhattan_weight(self):
         positions = [(3, 0), (4, 1), (0, 0), (9, 9)]
-        adj = G.adjacency(flat(positions, 10), 10)
-        assert adj[0, 1] == 2.0  # |3-4| + |0-1|
-        assert adj[1, 0] == 2.0
+        l_norm = G.propagation_matrix(flat(positions, 10), 10)
+        # Edge 0-1 weighs |3-4| + |0-1| = 2; both nodes have degree 20.
+        assert l_norm[0, 1] == pytest.approx(2 / 21, rel=1e-15)
+        assert l_norm[1, 0] == l_norm[0, 1]
+        assert l_norm[0, 0] == pytest.approx(1 / 21, rel=1e-15)
 
     def test_coincident_nodes_keep_edge_with_zero_weight(self):
         positions = [(2, 2), (2, 2), (0, 0), (1, 1)]
-        adj = G.adjacency(flat(positions, 10), 10)
+        l_norm = G.propagation_matrix(flat(positions, 10), 10)
         assert G.edge_mask(4)[0, 1]
-        assert adj[0, 1] == 0.0
+        assert l_norm[0, 1] == 0.0
+        # The zero-weight edge adds nothing to either degree: 0 + 4 + 2.
+        assert l_norm[0, 0] == pytest.approx(1 / 7, rel=1e-15)
 
     def test_non_edges_are_zero(self):
-        adj = G.adjacency(np.arange(8), 100)  # positions (x, 0), x = 0..7
+        l_norm = G.propagation_matrix(np.arange(8), 100)  # positions (x, 0), x = 0..7
         mask = G.edge_mask(8)
+        weights = {
+            (i, j): abs(i - j) for i in range(8) for j in range(i + 1, 8) if mask[i, j]
+        }
         for i in range(8):
             for j in range(8):
                 if i != j and not mask[i, j]:
-                    assert adj[i, j] == 0.0
+                    assert l_norm[i, j] == 0.0
                 elif i != j:
-                    assert adj[i, j] == abs(i - j)
+                    assert l_norm[i, j] == pytest.approx(normalized(weights, i, j), rel=1e-15)
 
     def test_edge_count_formula(self):
         for k in (8, 12, 20, 24):
@@ -212,12 +225,17 @@ class TestPositionsAndAdjacency:
             assert np.triu(G.edge_mask(k)).sum() == 6 * q + (q - 1)
 
     def test_adjacency_symmetric_zero_diagonal(self):
+        # L = S (A + I) S with S = diag(1/sqrt(d+1)). A symmetric A leaves L
+        # symmetric (to the order of the two products), and a zero diagonal
+        # leaves S**2 = 1/(d+1) there: A read back from L has row sums d.
         rng = np.random.default_rng(5)
-        adj = G.adjacency(rng.integers(0, 100, 12), 10)
-        assert adj.dtype == np.float64
-        assert np.array_equal(adj, adj.T)
-        assert np.all(np.diag(adj) == 0.0)
-        assert np.all(adj >= 0.0)
+        l_norm = G.propagation_matrix(rng.integers(0, 100, 12), 10)
+        assert l_norm.dtype == np.float64
+        assert np.max(np.abs(l_norm - l_norm.T)) <= 1e-15
+        assert np.all(l_norm >= 0.0)
+        scale = np.sqrt(np.diag(l_norm))
+        adj = l_norm / (scale[:, None] * scale[None, :]) - np.eye(12)
+        assert np.allclose(adj.sum(axis=1), 1.0 / np.diag(l_norm) - 1.0, rtol=1e-12)
 
 
 class TestGatherAndCompose:
@@ -244,21 +262,21 @@ class TestGatherAndCompose:
     def test_build_scene_graphs_k20(self):
         rng = np.random.default_rng(7)
         f = T.Tensor(rng.standard_normal((1, 4, 8, 8)))
-        salient, contextual = G.build_scene_graphs(f, 20)
-        assert len(salient.flat_indices) == 20 and len(contextual.flat_indices) == 20
-        assert salient.node_features.shape == (1, 20, 4)
-        assert salient.adjacency.shape == (20, 20)
+        (salient, contextual), indices = G.build_scene_graphs(f, 20)
+        assert indices.shape == (2, 20) and indices.dtype == np.int64
+        assert salient.shape == contextual.shape == (1, 20, 4)
+        assert np.array_equal(contextual.data[0], f.data[0].reshape(4, -1)[:, indices[1]].T)
+        assert G.propagation_matrix(indices[0], 8).shape == (20, 20)
         assert len(groups(20)) == 5
-        combined = set(salient.flat_indices) | set(contextual.flat_indices)
-        assert len(combined) == 40
+        assert len(set(indices.reshape(-1))) == 40
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         f = T.Tensor(rng.standard_normal((1, 2, 6, 6)))
-        a = G.build_scene_graphs(f, 8)
-        b = G.build_scene_graphs(f, 8)
-        assert np.array_equal(a[0].flat_indices, b[0].flat_indices)
-        assert np.array_equal(a[1].adjacency, b[1].adjacency)
+        (_, a), idx_a = G.build_scene_graphs(f, 8)
+        (_, b), idx_b = G.build_scene_graphs(f, 8)
+        assert np.array_equal(idx_a, idx_b) and np.array_equal(a.data, b.data)
+        assert np.array_equal(G.propagation_matrix(idx_a[1], 6), G.propagation_matrix(idx_b[1], 6))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +309,12 @@ def reference_adjacency(positions, edges):
     return adj
 
 
+def renormalized(adj):
+    """(D+I)^{-1/2} (A+I) (D+I)^{-1/2}, D the diagonal of A's row sums."""
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+    return inv_sqrt[:, None] * (adj + np.eye(len(adj))) * inv_sqrt[None, :]
+
+
 class TestLoopEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -307,11 +331,12 @@ class TestLoopEquivalence:
         f = rng.standard_normal((1, channels, h, w))
         if ties:
             f = np.round(f, 1)
-        graphs = G.build_scene_graphs(T.Tensor(f), k)
+        _, indices = G.build_scene_graphs(T.Tensor(f), k)
         edges = reference_edge_set(k)
         want = brute_force_selection(f.sum(axis=1).reshape(-1), h, w, k)
-        for graph, idx in zip(graphs, want):
-            assert list(graph.flat_indices) == idx
-            adj = reference_adjacency([(i % w, i // w) for i in idx], edges)
-            assert graph.adjacency.dtype == adj.dtype
-            assert graph.adjacency.tobytes() == adj.tobytes()
+        for got, idx in zip(indices, want):
+            assert list(got) == idx
+            l_norm = G.propagation_matrix(got, w)
+            ref = renormalized(reference_adjacency([(i % w, i // w) for i in idx], edges))
+            assert l_norm.dtype == ref.dtype
+            assert l_norm.tobytes() == ref.tobytes()

@@ -12,8 +12,8 @@ from avscene import tensor as T
 from avscene.backbone import Backbone, BackboneConfig
 from avscene.errors import ConfigurationError, DataError, NumericError
 from avscene.fusion import AttentionFusion
-from avscene.gcn import gcn_layer, graph_readout, propagation_matrix
-from avscene.graphs import build_scene_graphs
+from avscene.gcn import gcn_layer, graph_readout
+from avscene.graphs import build_scene_graphs, propagation_matrix, select_nodes
 from avscene.model import (
     RETIRED_KEYS,
     SGD,
@@ -92,18 +92,17 @@ def per_sample_features(model, x):
     """``SceneModel.features`` with one ``gcn_layer`` per sample and graph."""
     pyramid = model.backbone.forward(T.cast(x, model.registry.dtype))
     f_ffr = model.fusion.forward(pyramid.f_m4, pyramid.f_m5)
-    rows, graphs = [], []
+    w = f_ffr.data.shape[3]
+    rows, indices = [], []
     for i in range(x.data.shape[0]):
-        pair = build_scene_graphs(T.slice_batch(f_ffr, i), model.config.k_nodes)
-        graphs.append(pair)
+        nodes, idx = build_scene_graphs(T.slice_batch(f_ffr, i), model.config.k_nodes)
+        indices.append(idx)
         outputs = [
-            gcn_layer(
-                graph.node_features, propagation_matrix(graph.adjacency)[None], model.thetas[b]
-            )
-            for b, graph in zip(("sag", "cag"), pair)
+            gcn_layer(node_features, propagation_matrix(positions, w)[None], model.thetas[b])
+            for b, node_features, positions in zip(("sag", "cag"), nodes, idx)
         ]
         rows.append(graph_readout(*outputs))
-    return T.concat([T.concat(rows, axis=0), pyramid.embedding], axis=1), graphs
+    return T.concat([T.concat(rows, axis=0), pyramid.embedding], axis=1), np.stack(indices)
 
 
 class TestBatchedGraphStage:
@@ -118,17 +117,16 @@ class TestBatchedGraphStage:
         runs = []
         for features in (model.features, lambda x: per_sample_features(model, x)):
             model.registry.zero_grad()
-            feats, graphs = features(x)
+            feats, indices = features(x)
             logits = T.linear(feats, model.head_weight, model.head_bias)
             T.softmax_cross_entropy(logits, [e.label for e in examples]).backward()
-            indices = [g.flat_indices for pair in graphs for g in pair]
             grads = {name: p.grad.copy() for name, p in model.registry.items()}
             runs.append((feats.data, logits.data, indices, grads))
         (feats, logits, indices, grads), (feats1, logits1, indices1, grads1) = runs
         assert feats.dtype == dtype
         assert np.array_equal(feats, feats1) and np.array_equal(logits, logits1)
-        assert len(indices) == 16
-        assert all(np.array_equal(a, b) for a, b in zip(indices, indices1))
+        assert indices.shape == (8, 2, 8)
+        assert np.array_equal(indices, indices1)
         for name, g in grads.items():
             if name.startswith("gcn."):
                 # One GEMM over N*K rows against a sum of per-sample products.
@@ -136,6 +134,19 @@ class TestBatchedGraphStage:
                 assert err <= theta_rel, (name, err)
             else:
                 assert np.array_equal(g, grads1[name]), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_indices_are_each_samples_selected_nodes(self, dtype):
+        model = SceneModel(ModelConfig.tiny(seed=3), T.ParamRegistry(dtype))
+        x = T.Tensor(np.stack([e.x for e in synth_dataset("audio", 4, 3, seed=4)]))
+        with T.no_grad():
+            _, indices = model.features(x)
+            pyramid = model.backbone.forward(T.cast(x, dtype))
+            f_ffr = model.fusion.forward(pyramid.f_m4, pyramid.f_m5).data
+        assert indices.shape == (3, 2, 8) and indices.dtype == np.int64
+        for i in range(3):
+            want = select_nodes(f_ffr[i].sum(axis=0).reshape(-1), 8)
+            assert np.array_equal(indices[i], np.stack(want)), i
 
 
 def tape_nodes(root):
@@ -711,8 +722,8 @@ class TestDisableGraph:
         model = SceneModel.build(dataclasses.replace(config, disable_graph=True))
         x = T.Tensor(np.random.default_rng(3).standard_normal((3, 1, 64, 32)))
         fusions = count_calls(monkeypatch, AttentionFusion, "forward")
-        feats, graphs = model.features(x)
-        assert fusions == [] and graphs == []
+        feats, indices = model.features(x)
+        assert fusions == [] and indices is None
         with T.no_grad():
             embedding = model.backbone.forward(T.cast(x, np.float32)).embedding.data
         assert np.array_equal(feats.data, embedding)
@@ -741,8 +752,9 @@ class TestDisableGraph:
 
 
 class TestInputSize:
-    # The one size rule is the graphs' 3*k stage-4 cells, checked at the
-    # model boundary; the backbone itself runs on any H, W >= 1.
+    # Both size rules are checked at the model boundary: no axis is empty,
+    # and a graph model's stage-4 map holds 3*k cells. The backbone itself
+    # runs on any H, W >= 1.
     def test_too_small_for_k_nodes_fails_before_the_backbone(self, monkeypatch):
         model = SceneModel.build(ModelConfig.tiny(k_nodes=20))
         backbone_runs = count_calls(monkeypatch, Backbone, "forward")
@@ -759,6 +771,15 @@ class TestInputSize:
             assert model.forward(x).shape == (2, 3)
         with pytest.raises(ConfigurationError, match="2x5 stage-4 map, too small for k_nodes=4"):
             model.forward(T.Tensor(np.zeros((1, 1, 15, 40))))
+
+    @pytest.mark.parametrize("disable_graph", [False, True], ids=["graphs", "no_graph"])
+    @pytest.mark.parametrize("shape", [(0, 1, 64, 32), (1, 1, 0, 32), (1, 1, 64, 0)])
+    def test_empty_input_fails_before_the_backbone(self, monkeypatch, shape, disable_graph):
+        model = SceneModel.build(ModelConfig.tiny(disable_graph=disable_graph))
+        backbone_runs = count_calls(monkeypatch, Backbone, "forward")
+        with pytest.raises(ConfigurationError, match=re.escape(f"input of shape {shape} is empty")):
+            model.forward(T.Tensor(np.zeros(shape)))
+        assert backbone_runs == []
 
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (5, 2), (17, 33)])
     def test_ablated_model_takes_any_size(self, h, w):
