@@ -141,17 +141,20 @@ def write_wav(path, clip: AudioClip) -> None:
 
 
 def _sample_count(samples: float, setting: str) -> int:
-    """``round(samples)``, or ConfigurationError naming ``setting`` past numpy's size limit.
+    """``round(samples)``, or ConfigurationError naming ``setting`` if no clip can have it.
 
-    numpy cannot describe a float64 array whose byte size exceeds an index,
-    so such a count is a bad setting. A smaller count that memory cannot
-    hold still raises numpy's MemoryError.
+    A count that rounds to 0 leaves no samples. numpy cannot describe a
+    float64 array whose byte size exceeds an index, so such a count is a
+    bad setting too. A smaller count that memory cannot hold still raises
+    numpy's MemoryError.
     """
     if samples > np.iinfo(np.intp).max // 8:  # inf included
         raise ConfigurationError(
             f"{setting} asks for {samples:.3g} samples, more than a float64 array can hold"
         )
-    return int(round(samples))
+    if (count := int(round(samples))) == 0:
+        raise ConfigurationError(f"{setting} asks for {samples:.3g} samples, which rounds to 0")
+    return count
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -163,7 +166,6 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     n_out = _sample_count(
         clip.samples.size * target_rate / clip.sample_rate, f"target rate {target_rate}"
     )
-    n_out = max(n_out, 1)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     resampled = np.interp(positions, np.arange(clip.samples.size), clip.samples)
     return AudioClip(resampled, target_rate)

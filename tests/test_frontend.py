@@ -209,6 +209,14 @@ class TestArguments:
                 lambda clip, image: fe.resample(clip, 1e300),
                 r"target rate 1e\+300 asks for 5e\+298 samples, .* float64 array can hold",
             ),
+            (
+                lambda clip, image: fe.fix_length(clip, 1e-9),
+                r"target duration 1e-09 s asks for 1\.6e-05 samples, which rounds to 0",
+            ),
+            (
+                lambda clip, image: fe.resample(clip, 1e-3),
+                r"target rate 0\.001 asks for 5e-05 samples, which rounds to 0",
+            ),
             (lambda clip, image: fe.extract_logmel(clip, n_fft=0), "n_fft must be >= 1, got 0"),
         ],
         ids=[
@@ -219,6 +227,8 @@ class TestArguments:
             "rate_nan",
             "seconds_1e300",
             "rate_1e300",
+            "seconds_1e-9",
+            "rate_1e-3",
             "n_fft_0",
         ],
     )

@@ -1,6 +1,7 @@
 """Whole-model checks: gradients, config text, checkpoints and determinism."""
 
 import dataclasses
+import hashlib
 import re
 import tracemalloc
 
@@ -608,6 +609,24 @@ class TestSGD:
             tracemalloc.stop()
         assert peak <= 4 * M._SGD_BLOCK + 64 * 1024, peak
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_velocity_starts_as_contiguous_zeros_like_its_parameter(self, dtype):
+        # step writes through velocity.reshape(-1), which is a view only
+        # for a C-contiguous array.
+        reg = T.ParamRegistry(dtype)
+        reg.register("w", np.arange(6.0).reshape(2, 3).T)
+        reg.register("b", np.ones(5))
+        reg.register("k", np.ones((2, 3, 3, 3)))
+        optimizer = SGD(reg, momentum=0.9)
+        assert list(optimizer.velocity) == list(reg.names())
+        for name, p in reg.items():
+            v = optimizer.velocity[name]
+            assert v.flags.c_contiguous, name
+            assert (v.shape, v.dtype) == (p.data.shape, np.dtype(dtype)), name
+            assert not v.any(), name
+            assert np.shares_memory(v.reshape(-1), v), name
+            assert not np.shares_memory(v, p.data), name
+
     @pytest.mark.parametrize("lr", [0.0, -0.01])
     def test_non_positive_lr_rejected(self, lr):
         with pytest.raises(ConfigurationError, match="lr"):
@@ -807,6 +826,79 @@ class TestSynthDataset:
     def test_benchmark_sizes_pass(self, kind, size):
         (example,) = synth_dataset(kind, 4, 1, seed=0, height=size[0], width=size[1])
         assert example.x.shape[1:] == size
+
+
+def rejection_synth_audio(rng, label, classes, height, width, cases):
+    """``_synth_audio`` as it drew before the free-block table: 40 scalar
+    tries per placement, each testing the grid. Counts each failed
+    placement in ``cases`` as "no_free" or "missed" (free blocks, all missed).
+    """
+    slot_h, slot_w = height // 8, width // 4
+    x = rng.uniform(0.0, 0.35, size=(height, width))
+    target_amp = rng.uniform(1.9, 3.1)
+    occupied = np.zeros((8, 4), dtype=bool)
+
+    def place_block():
+        for _ in range(40):
+            r = int(rng.integers(0, 7))
+            c = int(rng.integers(0, 3))
+            if not occupied[r : r + 2, c : c + 2].any():
+                occupied[r : r + 2, c : c + 2] = True
+                return r, c
+        free = any(not occupied[r : r + 2, c : c + 2].any() for r in range(7) for c in range(3))
+        cases["missed" if free else "no_free"] += 1
+        return None
+
+    def stamp(block, kind, amp):
+        r, c = block
+        uneven = kind >= 4
+        for cell_index, (dr, dc) in enumerate(M._PAIR_LAYOUTS[kind % 4]):
+            rr, cc = (r + dr) * slot_h, (c + dc) * slot_w
+            gain = amp * (0.6 if uneven and cell_index else 1.0)
+            x[rr : rr + slot_h, cc : cc + slot_w] += gain * rng.uniform(
+                0.97, 1.03, size=(slot_h, slot_w)
+            )
+
+    stamp(place_block(), label, target_amp)
+    for _ in range(6):
+        block = place_block()
+        if block is None:
+            continue
+        stamp(block, int(rng.integers(0, classes)), rng.uniform(1.0, target_amp - 0.8))
+    return x[None, :, :]
+
+
+class TestSynthAudioDraws:
+    @pytest.mark.parametrize("size", [(64, 32), (16, 8), (8, 4)])
+    def test_matches_the_rejection_loop_bit_for_bit(self, size):
+        cases = {"no_free": 0, "missed": 0}
+        for seed in range(40):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for i in range(6):
+                want = rejection_synth_audio(want_rng, i % 4, 4, *size, cases)
+                got = M._synth_audio(got_rng, i % 4, 4, *size)
+                assert got.tobytes() == want.tobytes(), (seed, i)
+            # Equal generator states, so the next draw is the same too.
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+        assert cases["no_free"] > 0 and cases["missed"] > 0, cases
+
+    # sha256 of tiny_train's splits (every example's bytes, then its label),
+    # recorded before the free-block table replaced the rejection loop.
+    TINY_TRAIN_SPLITS = {
+        0: "2e77ead40b23cc2d64582d16c7946b6ec560f47d753905c8f5366d6463ad574e",
+        1: "77ebd88c3b20d2d411d6742d7dce1e952518843b0197e2571a951ead4b53bc8b",
+        2: "e53917d61267da7317f7d7226c83951127fbc548a443dc3c4c5797ba22718c90",
+        3: "da8924cb5347310a0f72d2d5f295f2f4309cba089588b245d99e3a5000bdf912",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TINY_TRAIN_SPLITS))
+    def test_benchmark_splits_are_pinned(self, seed):
+        dataset = synth_splits("audio", 4, 96, 48, seed)
+        digest = hashlib.sha256()
+        for example in dataset.train + dataset.test:
+            digest.update(example.x.tobytes())
+            digest.update(np.int64(example.label).tobytes())
+        assert digest.hexdigest() == self.TINY_TRAIN_SPLITS[seed]
 
 
 class TestTrainLabels:
