@@ -44,16 +44,16 @@ def read_pnm(path) -> tuple[np.ndarray, int]:
             f"{path}: unsupported PNM magic {magic!r} at byte {pos - len(magic)}"
         )
     fields = []
-    for _ in range(3):
+    for name, top in (("width", np.inf), ("height", np.inf), ("maxval", 255)):
         token, pos = _read_token(raw, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            start = pos - len(token)
+        start = pos - len(token)
+        if not token.isdigit():  # int() would also take a sign or an underscore
             raise DataError(f"{path}: bad PNM header token {token!r} at byte {start}")
+        value = int(token)
+        if not 1 <= value <= top:
+            raise DataError(f"{path}: bad PNM {name} {value} at byte {start}")
+        fields.append(value)
     width, height, maxval = fields
-    if width < 1 or height < 1 or not (0 < maxval < 256):
-        raise DataError(f"{path}: bad PNM dimensions {width}x{height} maxval {maxval}")
     pos += 1  # single whitespace after maxval
     channels = 3 if magic == b"P6" else 1
     expected = width * height * channels

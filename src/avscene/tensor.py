@@ -642,23 +642,12 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     return r
 
 
-def bilinear_resize_array(a: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """Bilinear resize of the trailing two axes of a float array.
-
-    Bilinear resizing is a fixed linear map: each trailing [H,W] plane X
-    becomes R_y · X · R_xᵀ, where R_y[h2,H] and R_x[w2,W] interpolate one
-    axis each with half-pixel centers, clamped at the borders.
-    """
-    ry = _resize_matrix(a.shape[-2], h2, a.dtype)
-    rx = _resize_matrix(a.shape[-1], w2, a.dtype)
-    return ry @ a @ rx.T
-
-
 def bilinear_upsample(x: Tensor, h2: int, w2: int) -> Tensor:
     """Resize x[N,C,H,W] to [N,C,h2,w2] with bilinear interpolation.
 
-    Each plane X becomes R_y · X · R_xᵀ, as in ``bilinear_resize_array``
-    (half-pixel centers, clamped at the borders); the output gradient G
+    Bilinear resizing is a fixed linear map: each [H,W] plane X becomes
+    R_y · X · R_xᵀ, where R_y[h2,H] and R_x[w2,W] interpolate one axis each
+    with half-pixel centers, clamped at the borders. The output gradient G
     flows back as R_yᵀ · G · R_x.
     """
     if x.data.ndim != 4:

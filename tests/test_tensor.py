@@ -581,18 +581,11 @@ class TestBilinearMatrixForm:
         x = rng.standard_normal((2, 3, h, w))
         g = rng.standard_normal((2, 3, h2, w2))
         want = four_corner_resize(x, h2, w2)
-        assert np.max(np.abs(T.bilinear_resize_array(x, h2, w2) - want)) < 1e-12
         xt = T.Tensor(x, requires_grad=True)
         out = T.bilinear_upsample(xt, h2, w2)
         assert np.max(np.abs(out.data - want)) < 1e-12
         T.total_sum(T.mul(out, T.Tensor(g))).backward()
         assert np.max(np.abs(xt.grad - four_corner_resize_grad(g, h, w))) < 1e-12
-
-    def test_resize_array_keeps_leading_axes(self):
-        a = np.random.default_rng(4).standard_normal((3, 4, 6))
-        got = T.bilinear_resize_array(a, 7, 2)
-        assert got.shape == (3, 7, 2)
-        assert np.max(np.abs(got - four_corner_resize(a, 7, 2))) < 1e-12
 
     def test_cached_matrix_is_read_only(self):
         r = T._resize_matrix(3, 5, np.dtype(np.float64))
@@ -1159,9 +1152,6 @@ class TestSettingsLedger:
     # program callers need different values, so growing this list is a
     # visible diff in review.
     LEDGER = [
-        "frontend.extract_logmel(hop)",
-        "frontend.extract_logmel(n_fft)",
-        "frontend.extract_logmel(n_mels)",
         "frontend.load_image(size)",
         "model.ModelConfig(batch_size)",
         "model.ModelConfig(disable_graph)",
