@@ -1,21 +1,23 @@
 """Residual backbone producing two deep feature maps and a pooled embedding.
 
 The stride pattern is fixed: a 7x7 stride-2 stem, a stride-1 second stage,
-then three stride-2 stages. Every conv pads by ``kernel // 2`` (kernels 1, 3
-and 7), so a stride-s conv maps n cells to ceil(n / s): any input of at least
-1x1 runs (``feature_map_dims``). Channel widths and depth are configurable so
-the same code serves both the full-width network and a tiny trainable variant.
-Per-channel affine (scale/shift) parameters stand in for batch statistics,
-keeping the forward pass deterministic and batch-size independent. A conv
-unit's affine and ReLU live inside its ``conv2d`` op, and a residual block's
-join (shortcut sum and ReLU) inside the op of its last unit: each unit records
-one tape node, and no block keeps its pre-join output.
+then three stride-2 stages. ``conv2d`` owns the padding rule: it pads each
+kernel (1, 3 or 7) by ``kernel // 2``, so a stride-s conv maps n cells to
+ceil(n / s), and any input of at least 1x1 runs (``feature_map_dims``).
+Channel widths and depth are configurable so the same code serves both the
+full-width network and a tiny trainable variant. Per-channel affine
+(scale/shift) parameters stand in for batch statistics, keeping the forward
+pass deterministic and batch-size independent. A conv unit's affine and ReLU
+live inside its ``conv2d`` op, and a residual block's join (shortcut sum and
+ReLU) inside the op of its last unit: each unit records one tape node, and
+no block keeps its pre-join output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +26,18 @@ from .tensor import ParamRegistry, Tensor, conv2d, global_avg_pool
 
 STEM_STRIDE = 2
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5
+
+
+def check_int_fields(config) -> None:
+    """Raise ConfigurationError naming the first field annotated ``int`` or
+    ``list[int]`` (as text) that holds anything else; a bool is no int here."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        items = [value] if f.type == "int" else value if f.type == "list[int]" else []
+        if not isinstance(items, (list, tuple)) or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items
+        ):
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -36,6 +50,7 @@ class BackboneConfig:
     block_type: str
 
     def __post_init__(self):
+        check_int_fields(self)
         if len(self.stage_channels) != 5:
             raise ConfigurationError(
                 f"need 5 stage channel counts, got {len(self.stage_channels)}"
@@ -95,7 +110,6 @@ class ConvUnit:
 
     def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, relu):
         self.stride = stride
-        self.padding = kernel // 2
         self.relu = relu
         self.weight = registry.register(
             f"{name}.weight",
@@ -105,15 +119,12 @@ class ConvUnit:
         self.shift = registry.register(f"{name}.shift", np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(
-            x, self.weight, self.shift, self.stride, self.padding, self.scale, self.relu
-        )
+        return conv2d(x, self.weight, self.shift, self.stride, self.scale, self.relu)
 
     def join(self, x: Tensor, shortcut: Tensor) -> Tensor:
         """relu(unit(x) + shortcut): a residual block's last unit and its join, as one op."""
         return conv2d(
-            x, self.weight, self.shift, self.stride, self.padding, self.scale,
-            relu=True, residual=shortcut,
+            x, self.weight, self.shift, self.stride, self.scale, relu=True, residual=shortcut
         )
 
 

@@ -33,7 +33,7 @@ _STFT_BLOCK_BYTES = 1 << 18  # bytes of tapered frames per block in extract_logm
 
 @dataclass
 class AudioClip:
-    """Mono waveform with finite samples, nominally in [-1, 1]."""
+    """Mono waveform: a 1-D array of finite samples, nominally in [-1, 1]."""
 
     samples: np.ndarray
     sample_rate: int
@@ -43,6 +43,8 @@ class AudioClip:
         if not isinstance(rate, numbers.Integral) or rate <= 0:
             raise ConfigurationError(f"sample rate must be a positive integer, got {rate!r}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim != 1:
+            raise DataError(f"audio samples must be 1-D, got shape {self.samples.shape}")
         if self.samples.size == 0:
             raise DataError("audio clip has no samples")
         finite = np.isfinite(self.samples)
@@ -275,6 +277,8 @@ def load_image(path, size: int | None = None) -> Tensor:
     Grayscale images are replicated across the three channels; ``size``
     triggers a bilinear resize to size x size.
     """
+    if size is not None and (not isinstance(size, numbers.Integral) or isinstance(size, bool)):
+        raise ConfigurationError(f"image size must be an integer, got {size!r}")
     if size is not None and size < 1:
         raise ConfigurationError(f"image size must be >= 1, got {size}")
     pixels, maxval = read_pnm(path)

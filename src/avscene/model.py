@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, BackboneConfig, feature_map_dims, he_uniform
+from .backbone import Backbone, BackboneConfig, check_int_fields, feature_map_dims, he_uniform
 from .errors import ConfigurationError, DataError, NumericError
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout
@@ -77,6 +77,7 @@ class ModelConfig:
     disable_graph: bool = False
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.num_classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.num_classes}")
         if self.k_nodes % 4 or self.k_nodes < 4:
@@ -97,6 +98,19 @@ class ModelConfig:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        # lr_schedule is monotone in the epoch, so the last epoch's lr bounds them all.
+        try:
+            last = lr_schedule(self, self.epochs - 1)
+        except OverflowError:  # the divisor overflows: the lr is 0
+            last = 0.0
+        except ZeroDivisionError:  # the divisor underflows: the lr is infinite
+            last = np.inf
+        if not 0 < last < np.inf:
+            raise ConfigurationError(
+                f"lr0={self.lr0} / lr_decay_factor={self.lr_decay_factor} ** "
+                f"((epochs={self.epochs} - 1) // lr_decay_every={self.lr_decay_every}) "
+                f"gives the last epoch an lr of {last}, not finite and positive"
+            )
 
     @classmethod
     def tiny(cls, num_classes: int = 4, modality: str = "audio", **overrides) -> "ModelConfig":

@@ -11,15 +11,11 @@ bias[O] + residual)``; a residual block's last unit takes the shortcut as
 fresh output it allocates, never on its inputs, and its tape keeps no im2col
 columns: the backward builds them again from ``x``.
 
-The columns come from one flat, zero-padded plane per row phase of the
-stride, with rows of s·wq cells for wq = ceil(cw / s), cw the padded columns
-that windows read. Each of the kh·kw taps is then one long slice of a plane,
-contiguous at stride 1 and with step s otherwise, instead of ho short rows
-of wo cells. The matrix products run on ho·wq columns per channel: the
-wq - wo extra columns of each output row are dropped in the forward, and
-get a zero gradient in the backward, which adds each tap's column gradient
-back into the planes. The planes hold only cells that some window reads.
-An unpadded 1x1 kernel builds no plane: its one tap is x[:, :, ::s, ::s].
+``conv2d`` owns the padding rule: it takes an odd square k x k kernel and a
+stride s of 1 or 2 and zero-pads by k // 2, so an n-cell axis gives
+ceil(n / s) outputs. Its im2col columns are one long slice per tap of
+zero-padded row-phase planes (``_TapLayout``), contiguous at stride 1,
+instead of ho short rows of wo cells.
 
 Gradients are computed by recording a tape of backward closures during the
 forward pass and replaying it in reverse topological order. The replay
@@ -44,6 +40,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -365,127 +362,106 @@ def batched_matrix_apply(m: np.ndarray, x: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class _TapLayout:
-    """Where ``conv2d`` finds its kh·kw taps in the stride-phase planes of x.
+    """Where ``conv2d`` finds its k·k taps in the stride-phase planes of x.
 
-    Row phase a of stride s is one flat, zero-padded plane that holds the
-    padded input's rows a, a + s, a + 2s, ... in rows of s·wq cells, where
-    wq = ceil(cw / s) >= wo for the cw padded columns that windows read. Tap
-    (i, j) is then one slice of ho·wq cells with step s: it starts at
-    (i // s)·s·wq + j in plane i mod s, and output (yo, xo) is its element
-    yo·wq + xo. So every tap is contiguous at stride 1. The wq - wo extra
-    columns of each output row read other cells or zeros; the forward drops
-    them and the backward gives them a zero gradient. A plane holds only the
-    rows and the columns that windows read, and a tap's slice meets only
-    columns congruent to its j mod s, so no cell of x that no window reads
-    reaches an output or a gradient.
+    With the padding p = k // 2 of an odd k and a stride s of 1 or 2, the
+    output is ho = ceil(h / s) by wo = ceil(w / s), and for k > 1 some window
+    reads every cell of x. Row phase a's plane holds the padded input's rows
+    a, a + s, a + 2s, ... in rows of s·wq cells. Tap (i, j) is one slice of
+    ho·wq cells with step s: it starts at (i // s)·s·wq + j in plane i mod s,
+    and output (yo, xo) is its element yo·wq + xo. The wq - wo extra columns
+    of each output row read other cells or zeros; the forward drops them and
+    the backward gives them a zero gradient. A 1x1 kernel builds no plane.
     """
 
-    kh: int
-    kw: int
+    k: int
     stride: int
-    padding: int
     ho: int
     wo: int
     wq: int  # columns per output row, wo plus the extra ones
     hq: int  # rows per plane
     plane: int  # flat length of a plane: hq·s·wq and the last tap's overhang
-    fills: tuple  # (phase, plane rows, input rows) slices of the read rows
-    read_w: int  # windows read the input's columns x[..., :read_w]
+    fills: tuple  # (phase, plane rows, input rows) slices: where x's rows go
     offsets: tuple  # start of each tap's slice in the stacked planes, (i, j) order
-
-    @property
-    def phases(self) -> int:
-        return min(self.stride, self.kh)
-
-    @property
-    def one_tap(self) -> bool:
-        """An unpadded 1x1 kernel: its one tap is x[:, :, ::s, ::s], and no plane is built."""
-        return self.kh == self.kw == 1 and self.padding == 0
 
 
 @functools.lru_cache(maxsize=256)
-def _tap_layout(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> _TapLayout:
-    s, p = stride, padding
-    ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-    wq = -(-(s * (wo - 1) + kw) // s)
-    hq = ho + (kh - 1) // s
-    # Plane row r of phase a is padded row a + s·r, input row a + s·r - p;
-    # windows read padded rows below s·(ho-1) + kh.
-    end = min(s * (ho - 1) + kh, p + h)
+def _tap_layout(h: int, w: int, k: int, stride: int) -> _TapLayout:
+    s, p = stride, k // 2
+    ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
+    wq = -(-(s * (wo - 1) + k) // s)
+    hq = ho + (k - 1) // s
+    # Plane row r of phase a is padded row a + s·r, row a + s·r - p of x, so
+    # x's rows y0, y0 + s, ... for y0 = (a - p) mod s start at plane row lo.
     fills = []
-    for a in range(min(s, kh)):
-        lo, hi = max(0, -((a - p) // s)), min(hq, -((a - end) // s))
-        if hi > lo:
-            y0 = a + s * lo - p
-            fills.append((a, slice(lo, hi), slice(y0, y0 + s * (hi - lo - 1) + 1, s)))
-    read_w = min(w, s * (wo - 1) + kw - p)
-    plane = hq * s * wq + max(0, kw - s)
+    for a in range(s):
+        y0 = (a - p) % s
+        lo = (y0 + p - a) // s
+        fills.append((a, slice(lo, lo + len(range(y0, h, s))), slice(y0, None, s)))
+    plane = hq * s * wq + max(0, k - s)
     offsets = tuple(
-        (i % s) * plane + (i // s) * s * wq + j for i in range(kh) for j in range(kw)
+        (i % s) * plane + (i // s) * s * wq + j for i in range(k) for j in range(k)
     )
-    return _TapLayout(kh, kw, s, p, ho, wo, wq, hq, plane, tuple(fills), read_w, offsets)
+    return _TapLayout(k, s, ho, wo, wq, hq, plane, tuple(fills), offsets)
 
 
 def _plane_rows(planes: np.ndarray, t: _TapLayout) -> np.ndarray:
-    """[N, C, phases, hq, s·wq] view of flat planes [N, C, phases·plane]."""
+    """[N, C, s, hq, s·wq] view of flat planes [N, C, s·plane]."""
     n, c, _ = planes.shape
-    stacked = planes.reshape(n, c, t.phases, t.plane)[..., : t.hq * t.stride * t.wq]
-    return stacked.reshape(n, c, t.phases, t.hq, t.stride * t.wq)  # splits one axis: a view
+    stacked = planes.reshape(n, c, t.stride, t.plane)[..., : t.hq * t.stride * t.wq]
+    return stacked.reshape(n, c, t.stride, t.hq, t.stride * t.wq)  # splits one axis: a view
 
 
 def _im2col(x: np.ndarray, t: _TapLayout) -> np.ndarray:
-    """[N, C·kh·kw, ho·wq] columns of x: row (c, i, j) is tap (i, j)'s slice of c's planes.
+    """[N, C·k·k, ho·wq] columns of x: row (c, i, j) is tap (i, j)'s slice of c's planes.
 
-    The row-phase planes are zero-padded and hold only the cells that
-    windows read. An unpadded 1x1 kernel's columns are x[:, :, ::s, ::s]:
-    x itself at stride 1, one copy otherwise. Else the taps of one row phase
-    are one strided view of its plane, copied.
+    A 1x1 kernel's columns are x[:, :, ::s, ::s]: x itself at stride 1, one
+    copy at stride 2, which skips every other row and column. Else the taps
+    of one row phase are one strided view of its zero-padded plane, copied.
     """
-    n, c, _, _ = x.shape
-    s = t.stride
-    if t.one_tap:
+    n, c, _, w = x.shape
+    s, p = t.stride, t.k // 2
+    if t.k == 1:
         return np.ascontiguousarray(x[:, :, ::s, ::s]).reshape(n, c, -1)
-    planes = np.zeros((n, c, t.phases * t.plane), dtype=x.dtype)
+    planes = np.zeros((n, c, s * t.plane), dtype=x.dtype)
     rows = _plane_rows(planes, t)
-    cols = slice(t.padding, t.padding + t.read_w)
     for phase, plane_rows, ys in t.fills:
-        rows[:, :, phase, plane_rows, cols] = x[:, :, ys, : t.read_w]
+        rows[:, :, phase, plane_rows, p : p + w] = x[:, :, ys]
     span = t.ho * t.wq
-    taps = np.empty((n, c, t.kh, t.kw, span), dtype=x.dtype)
+    taps = np.empty((n, c, t.k, t.k, span), dtype=x.dtype)
     sn, sc, se = planes.strides
-    for phase in range(t.phases):
+    for phase in range(s):
         dest = taps[:, :, phase::s]
         strides = (sn, sc, s * t.wq * se, se, s * se)
-        offset = t.offsets[phase * t.kw] * se
+        offset = t.offsets[phase * t.k] * se
         dest[...] = np.ndarray(dest.shape, x.dtype, planes, offset, strides)
     return taps.reshape(n, -1, span)
 
 
 def _col2im(dcols: np.ndarray, shape, t: _TapLayout) -> np.ndarray:
-    """Fresh input gradient [N,C,H,W] of the columns' gradient [N, C·kh·kw, ho·wq].
+    """Fresh input gradient [N,C,H,W] of the columns' gradient [N, C·k·k, ho·wq].
 
     Each tap's row adds into its slice of the row-phase planes, in tap
-    order; the planes' cells then go back to their places in x, and every
-    cell of x that no window reads gets 0. An unpadded 1x1 kernel's columns
-    are the gradient of x[:, :, ::s, ::s] itself.
+    order; the planes' cells then go back to their places in x, which they
+    cover. A 1x1 kernel's columns are the gradient of x[:, :, ::s, ::s]
+    itself, so at stride 2 the cells that no window reads get 0.
     """
-    n, c, _, _ = shape
-    s, span = t.stride, t.ho * t.wq
-    if t.one_tap:
+    n, c, _, w = shape
+    s, p, span = t.stride, t.k // 2, t.ho * t.wq
+    if t.k == 1:
         if s == 1:
             return dcols.reshape(shape)
         dx = np.zeros(shape, dtype=dcols.dtype)
         dx[:, :, ::s, ::s] = dcols.reshape(n, c, t.ho, t.wo)
         return dx
-    dplanes = np.zeros((n, c, t.phases * t.plane), dtype=dcols.dtype)
+    dplanes = np.zeros((n, c, s * t.plane), dtype=dcols.dtype)
     taps = dcols.reshape(n, c, len(t.offsets), span)
     for k, start in enumerate(t.offsets):
         dplanes[:, :, start : start + s * (span - 1) + 1 : s] += taps[:, :, k]
     rows = _plane_rows(dplanes, t)
-    dx = np.zeros(shape, dtype=dcols.dtype)
-    cols = slice(t.padding, t.padding + t.read_w)
+    dx = np.empty(shape, dtype=dcols.dtype)
     for phase, plane_rows, ys in t.fills:
-        dx[:, :, ys, : t.read_w] = rows[:, :, phase, plane_rows, cols]
+        dx[:, :, ys] = rows[:, :, phase, plane_rows, p : p + w]
     return dx
 
 
@@ -494,19 +470,16 @@ def conv2d(
     w: Tensor,
     bias: Tensor,
     stride: int = 1,
-    padding: int = 0,
     scale: Tensor | None = None,
     relu: bool = False,
     residual: Tensor | None = None,
 ) -> Tensor:
-    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,kh,kw].
+    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,k,k].
 
-    ``w ⋆ x`` is the 2-D cross-correlation, and ``residual`` has the output's
-    shape. The columns are one slice per tap of x's stride-phase planes
-    (``_TapLayout``), so each output row has wq - wo extra columns: the
-    matrix products run on ho·wq columns, the forward drops the extra ones
-    and the backward zero-pads the output gradient to match. An unpadded
-    1x1 conv reads its columns straight from x[:, :, ::s, ::s].
+    ``w ⋆ x`` is the 2-D cross-correlation of x zero-padded by k // 2, for an
+    odd k and a stride s of 1 or 2, so the output and ``residual`` are
+    [N, O, ceil(H / s), ceil(W / s)]. The matrix products run on the
+    columns of ``_im2col``, extra columns included (``_TapLayout``).
 
     The affine, the residual sum and the ReLU run in place, in that order, on
     the matrix product's fresh output, so the tape keeps only that output:
@@ -519,22 +492,19 @@ def conv2d(
             f"conv2d: need rank-4 input and weight, got {xn.ndim} and {wn.ndim}"
         )
     n, c, h, wd = xn.shape
-    o, cw, kh, kw = wn.shape
+    o, cw, k, kw = wn.shape
     if cw != c:
         raise ConfigurationError(f"conv2d: weight expects {cw} channels, input has {c}")
-    if stride < 1:
-        raise ConfigurationError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ConfigurationError(f"conv2d: padding must be >= 0, got {padding}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
-        raise ConfigurationError(
-            f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
-        )
+    if k != kw or k % 2 == 0:
+        raise ConfigurationError(f"conv2d: kernel {k}x{kw} is not odd and square")
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride not in (1, 2):
+        raise ConfigurationError(f"conv2d: stride must be 1 or 2, got {stride!r}")
+    if h < 1 or wd < 1:
+        raise ConfigurationError(f"conv2d: input {xn.shape} has an empty spatial axis")
     for name, t in (("scale", scale), ("bias", bias)):
         if t is not None and t.data.shape != (o,):
             raise ConfigurationError(f"conv2d: {name} shape {t.data.shape} != ({o},)")
-    layout = _tap_layout(h, wd, kh, kw, stride, padding)
+    layout = _tap_layout(h, wd, k, stride)
     ho, wo, wq = layout.ho, layout.wo, layout.wq
     if residual is not None and residual.data.shape != (n, o, ho, wo):
         raise ConfigurationError(

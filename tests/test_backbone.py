@@ -1,5 +1,6 @@
 """Backbone: stage shapes, init determinism, parameter accounting, gradients."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,22 @@ class TestConfig:
             BackboneConfig(1, [4, 8, 8, 0, 32], [1, 1, 1, 1], "basic")
         with pytest.raises(ConfigurationError, match="bottleneck"):
             BackboneConfig(1, [4, 8, 8, 15, 32], [1, 1, 1, 1], "bottleneck")
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((1, [4, 8, 32.5, 16, 32], [1, 1, 1, 1]), "stage_channels"),
+            ((1, [4, 8, 8, 16, 32], [1, 1, True, 1]), "blocks_per_stage"),
+            ((1, 32, [1, 1, 1, 1]), "stage_channels"),
+            ((1.0, [4, 8, 8, 16, 32], [1, 1, 1, 1]), "in_channels"),
+        ],
+    )
+    def test_integer_field_of_another_type_names_the_field_and_value(self, args, field):
+        value = args[("in_channels", "stage_channels", "blocks_per_stage").index(field)]
+        kind = "int" if field == "in_channels" else "list[int]"
+        want = re.escape(f"{field} must be {kind}, got {value!r}") + "$"
+        with pytest.raises(ConfigurationError, match=want):
+            BackboneConfig(*args, "basic")
 
     def test_named_presets(self):
         tiny = BackboneConfig.tiny(1)

@@ -169,6 +169,13 @@ class TestAudioClip:
         with pytest.raises(ConfigurationError, match=re.escape(f"got {rate!r}") + "$"):
             fe.AudioClip(np.zeros(4), rate)
 
+    @pytest.mark.parametrize("shape", [(3000, 2), (1, 4), (2, 2, 2), ()])
+    def test_samples_that_are_not_one_dimensional_name_their_shape(self, shape):
+        # extract_logmel frames a 1-D signal.
+        want = re.escape(f"audio samples must be 1-D, got shape {shape}") + "$"
+        with pytest.raises(DataError, match=want):
+            fe.AudioClip(np.zeros(shape), 16000)
+
     def test_numpy_integer_rate_is_accepted(self, tmp_path):
         path = tmp_path / "np.wav"
         fe.write_wav(path, fe.AudioClip(np.zeros(4), np.int32(8000)))
@@ -234,6 +241,8 @@ class TestArguments:
         [
             (lambda clip, image: fe.load_image(image, size=0), "image size must be >= 1, got 0"),
             (lambda clip, image: fe.load_image(image, size=-1), "image size must be >= 1, got -1"),
+            (lambda clip, image: fe.load_image(image, size=2.5), "image size must be an integer, got 2.5"),
+            (lambda clip, image: fe.load_image(image, size=True), "image size must be an integer, got True"),
             (lambda clip, image: fe.fix_length(clip, float("nan")), "duration .* got nan"),
             (lambda clip, image: fe.fix_length(clip, float("inf")), "duration .* got inf"),
             (lambda clip, image: fe.resample(clip, float("nan")), "target rate .* got nan"),
@@ -257,6 +266,8 @@ class TestArguments:
         ids=[
             "size_0",
             "size_-1",
+            "size_2.5",
+            "size_True",
             "seconds_nan",
             "seconds_inf",
             "rate_nan",

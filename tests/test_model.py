@@ -467,6 +467,29 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError, match=f"^{field} .*got {value}$"):
             ModelConfig.tiny(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 1.5),
+            ("batch_size", 2.5),
+            ("seed", 1.5),
+            ("num_classes", 4.5),
+            ("gcn_out_channels", 4.5),
+            ("k_nodes", 8.0),
+            ("lr_decay_every", 1.5),  # a fractional schedule
+            ("epochs", True),
+            ("seed", np.float64(3.0)),
+        ],
+    )
+    def test_integer_field_of_another_type_names_the_field_and_value(self, field, value):
+        want = re.escape(f"{field} must be int, got {value!r}") + "$"
+        with pytest.raises(ConfigurationError, match=want):
+            ModelConfig.tiny(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = ModelConfig.tiny(epochs=np.int64(3), seed=np.int32(2), k_nodes=np.int16(8))
+        assert (config.epochs, config.seed, config.k_nodes) == (3, 2, 8)
+
     def test_unknown_modality_is_rejected(self):
         with pytest.raises(ConfigurationError, match="got 'video'$"):
             ModelConfig.tiny(modality="video")
@@ -659,6 +682,35 @@ class TestLrSchedule:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ConfigurationError, match="-1"):
             lr_schedule(ModelConfig.tiny(), -1)
+
+    @pytest.mark.parametrize(
+        "overrides, last",
+        [
+            # 10.0 ** 309 overflows: the 310th epoch's lr.
+            ({"epochs": 400, "lr_decay_every": 1}, "0.0"),
+            ({"epochs": 310, "lr_decay_every": 1}, "0.0"),
+            # The lr reaches 0.0, which SGD.step rejects.
+            ({"lr0": 1e-300, "lr_decay_every": 1}, "0.0"),
+            # A factor below 1 raises the lr: 0.5 ** 1100 is 0.0, 0.5 ** 1070 gives inf.
+            ({"lr_decay_factor": 0.5, "epochs": 1101, "lr_decay_every": 1}, "inf"),
+            ({"lr_decay_factor": 0.5, "epochs": 1071, "lr_decay_every": 1}, "inf"),
+        ],
+    )
+    def test_config_whose_last_lr_is_not_finite_and_positive_names_the_schedule(
+        self, overrides, last
+    ):
+        config = {"lr0": 0.01, "lr_decay_factor": 10.0, "epochs": 60, **overrides}
+        want = (
+            f"lr0={config['lr0']} / lr_decay_factor={config['lr_decay_factor']} ** "
+            f"((epochs={config['epochs']} - 1) // lr_decay_every={config['lr_decay_every']}) "
+            f"gives the last epoch an lr of {last}, not finite and positive"
+        )
+        with pytest.raises(ConfigurationError, match=re.escape(want) + "$"):
+            ModelConfig.tiny(**overrides)
+
+    def test_last_positive_lr_is_accepted_and_unchanged(self):
+        config = ModelConfig.tiny(epochs=309, lr_decay_every=1)
+        assert lr_schedule(config, 308) == 0.01 / 10.0 ** 308 > 0.0
 
 
 def count_calls(monkeypatch, owner, name):

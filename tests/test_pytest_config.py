@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 FAILING_AND_PASSING = '''
@@ -35,3 +37,9 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_hypothesis_tests_draw_the_same_examples_on_every_run():
+    # tests/conftest.py loads a derandomized profile, which a test's own
+    # @settings inherits, so no Hypothesis test draws new examples per run.
+    assert settings().derandomize and settings(max_examples=5).derandomize

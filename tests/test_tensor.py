@@ -99,17 +99,18 @@ def zero_bias(w):
 
 class TestConv2d:
     def test_all_ones_3x3(self):
+        # Same padding: a cell sums the ones of its window inside the input.
         x = T.Tensor(np.ones((1, 1, 4, 4)))
         w = T.Tensor(np.ones((1, 1, 3, 3)))
         out = T.conv2d(x, w, zero_bias(w))
-        assert out.data.shape == (1, 1, 2, 2)
-        assert np.all(out.data == 9.0)
+        edge = np.array([2.0, 3.0, 3.0, 2.0])
+        assert np.array_equal(out.data[0, 0], np.outer(edge, edge))
 
     def test_table_stem_shape(self):
-        # 3x224x224 through 64 filters of 7x7, stride 2, pad 3.
+        # 3x224x224 through 64 filters of 7x7, stride 2, padded by 3.
         x = T.Tensor(np.zeros((1, 3, 224, 224)))
         w = T.Tensor(np.zeros((64, 3, 7, 7)))
-        out = T.conv2d(x, w, zero_bias(w), stride=2, padding=3)
+        out = T.conv2d(x, w, zero_bias(w), stride=2)
         assert out.data.shape == (1, 64, 112, 112)
 
     def test_matches_naive_oracle(self):
@@ -117,27 +118,27 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=1, padding=0)
-        want = naive_conv2d(x, w, b)
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=1)
+        want = naive_conv2d(x, w, b, padding=1)
         assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_naive_oracle_random_sweep(self):
-        # 100 random small shapes, stride/padding included.
+        # 100 random small shapes: every odd kernel up to 7, both strides.
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(1, 3))
             c = int(rng.integers(1, 4))
             o = int(rng.integers(1, 4))
-            k = int(rng.integers(1, 4))
+            k = int(rng.choice(CONV_KERNELS))
             stride = int(rng.integers(1, 3))
-            pad = int(rng.integers(0, 2))
-            h = int(rng.integers(k, k + 5))
-            wd = int(rng.integers(k, k + 5))
+            h = int(rng.integers(1, k + 5))
+            wd = int(rng.integers(1, k + 5))
             x = rng.standard_normal((n, c, h, wd))
             w = rng.standard_normal((o, c, k, k))
             b = T.Tensor(np.zeros(o))
-            got = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=stride, padding=pad)
-            want = naive_conv2d(x, w, stride=stride, padding=pad)
+            got = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=stride)
+            want = naive_conv2d(x, w, stride=stride, padding=k // 2)
+            assert got.data.shape == (n, o, -(-h // stride), -(-wd // stride))
             assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_shape_mismatch_names_dims(self):
@@ -146,17 +147,27 @@ class TestConv2d:
         with pytest.raises(ConfigurationError, match="4 channels.*3"):
             T.conv2d(x, w, zero_bias(w))
 
-    def test_kernel_too_large(self):
-        x = T.Tensor(np.zeros((1, 1, 4, 4)))
-        w = T.Tensor(np.zeros((1, 1, 5, 5)))
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("kh, kw", [(2, 2), (4, 4), (3, 1), (1, 3), (3, 5)])
+    def test_kernel_that_is_not_odd_and_square_names_it(self, kh, kw):
+        x = T.Tensor(np.zeros((1, 1, 8, 8)))
+        w = T.Tensor(np.zeros((1, 1, kh, kw)))
+        with pytest.raises(ConfigurationError, match=f"kernel {kh}x{kw} is not odd and square$"):
             T.conv2d(x, w, zero_bias(w))
 
-    def test_negative_padding_names_padding(self):
+    @pytest.mark.parametrize("stride", [0, -1, 3, 4, 2.0, True])
+    def test_stride_other_than_1_or_2_names_it(self, stride):
         x = T.Tensor(np.zeros((1, 1, 8, 8)))
         w = T.Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ConfigurationError, match="padding"):
-            T.conv2d(x, w, zero_bias(w), padding=-1)
+        with pytest.raises(ConfigurationError, match=f"stride must be 1 or 2, got {stride!r}$"):
+            T.conv2d(x, w, zero_bias(w), stride=stride)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape", [(1, 1, 0, 4), (1, 1, 4, 0), (2, 1, 0, 0)])
+    def test_empty_spatial_axis_names_the_shape(self, shape, k):
+        w = T.Tensor(np.zeros((1, 1, k, k)))
+        want = re.escape(f"input {shape} has an empty spatial axis")
+        with pytest.raises(ConfigurationError, match=want):
+            T.conv2d(T.Tensor(np.zeros(shape)), w, zero_bias(w))
 
     @pytest.mark.parametrize("name", ["scale", "bias"])
     @pytest.mark.parametrize("shape", [(3,), (2, 1)])
@@ -169,29 +180,27 @@ class TestConv2d:
     def test_residual_shape_names_it(self):
         x = T.Tensor(np.zeros((1, 1, 4, 4)))
         w = T.Tensor(np.zeros((2, 1, 3, 3)))
-        with pytest.raises(ConfigurationError, match=r"residual shape \(1, 2, 4, 4\) != \(1, 2, 2, 2\)"):
-            T.conv2d(x, w, zero_bias(w), residual=T.Tensor(np.zeros((1, 2, 4, 4))))
+        with pytest.raises(ConfigurationError, match=r"residual shape \(1, 2, 2, 2\) != \(1, 2, 4, 4\)"):
+            T.conv2d(x, w, zero_bias(w), residual=T.Tensor(np.zeros((1, 2, 2, 2))))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 9, 9))
         w = rng.standard_normal((4, 3, 3, 3))
         b = T.Tensor(np.zeros(4))
-        one = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=2, padding=1).data
-        two = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=2, padding=1).data
+        one = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=2).data
+        two = T.conv2d(T.Tensor(x), T.Tensor(w), b, stride=2).data
         assert np.array_equal(one, two)
 
 
-def conv2d_grads(x, w, g, stride, padding, bias, scale=None, relu=False, residual=None):
+def conv2d_grads(x, w, g, stride, bias, scale=None, relu=False, residual=None):
     """(out, dx, dw, dscale, dbias, dresidual) from conv2d's forward and taped backward.
 
     dscale and dresidual are None when the unit has no scale or residual.
     """
     xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, bias))
     st, rt = (None if a is None else T.Tensor(a, requires_grad=True) for a in (scale, residual))
-    out = T.conv2d(
-        xt, wt, bt, stride=stride, padding=padding, scale=st, relu=relu, residual=rt
-    )
+    out = T.conv2d(xt, wt, bt, stride=stride, scale=st, relu=relu, residual=rt)
     T.total_sum(T.mul(out, T.Tensor(g))).backward()
     grads = tuple(None if t is None else t.grad for t in (xt, wt, st, bt, rt))
     return (out.data,) + grads
@@ -210,14 +219,16 @@ CONV_UNIT_MODES = (
     (True, True, False),
     (True, True, True),
 )
+# The odd kernels conv2d takes, up to the stem's 7.
+CONV_KERNELS = (1, 3, 5, 7)
 
 
 class TestConv2dBackward:
+    # pad is the naive oracles' padding: the k // 2 that conv2d applies.
     @pytest.mark.parametrize(
         "n, c, o, k, stride, pad, h, wd",
         [
             (1, 3, 4, 1, 1, 0, 5, 6),  # 1x1 stride 1: columns are the input
-            (3, 3, 4, 1, 1, 1, 4, 5),  # same, with padding
             (1, 3, 4, 1, 2, 0, 7, 6),
             (3, 2, 5, 1, 2, 0, 5, 5),
             (1, 3, 4, 3, 1, 1, 6, 5),
@@ -229,8 +240,9 @@ class TestConv2dBackward:
         ],
     )
     def test_matches_loop_reference(self, n, c, o, k, stride, pad, h, wd):
+        assert pad == k // 2
         rng = np.random.default_rng(n * 1000 + k * 10 + stride)
-        pre = self.check(rng, n, c, o, k, stride, pad, h, wd)
+        pre = self.check(rng, n, c, o, k, stride, h, wd)
         assert (pre > 0.0).any() and (pre < 0.0).any()  # both ReLU sides
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -240,34 +252,33 @@ class TestConv2dBackward:
         for _ in range(30):
             c = int(rng.integers(1, 4))
             o = int(rng.integers(1, 4))
-            k = int(rng.integers(1, 4))
+            k = int(rng.choice(CONV_KERNELS))
             stride = int(rng.integers(1, 3))
-            pad = int(rng.integers(0, 2))
-            h = int(rng.integers(k, k + 5))
-            wd = int(rng.integers(k, k + 5))
-            signs.append(self.check(rng, n, c, o, k, stride, pad, h, wd).ravel() > 0.0)
+            h = int(rng.integers(1, k + 5))
+            wd = int(rng.integers(1, k + 5))
+            signs.append(self.check(rng, n, c, o, k, stride, h, wd).ravel() > 0.0)
         positive = np.concatenate(signs).mean()
         assert 0.25 < positive < 0.75  # both ReLU sides, in about equal share
 
     @staticmethod
-    def check(rng, n, c, o, k, stride, pad, h, wd, kw=None):
-        """Compare forward and gradients in every mode; returns the pre-activation.
+    def check(rng, n, c, o, k, stride, h, wd):
+        """Compare forward and gradients in every mode with the oracles at padding k // 2.
 
-        The kernel is k x k, or k x kw when kw is given.
+        Returns the pre-activation.
         """
+        pad = k // 2
         x = rng.standard_normal((n, c, h, wd))
-        w = rng.standard_normal((o, c, k, kw or k))
+        w = rng.standard_normal((o, c, k, k))
         b = rng.standard_normal(o)
         s = rng.standard_normal(o)
         pre = naive_conv2d(x, w, b, stride, pad, scale=s)
-        # Windows wholly in the padding give exactly the bias, which is not 0.
         assert np.all(pre != 0.0)  # no pre-activation on the ReLU's kink
         g = rng.standard_normal(pre.shape)
         r = rng.standard_normal(pre.shape)
         for scaled, relu, joined in CONV_UNIT_MODES:
             scale = s if scaled else None
             residual = r if joined else None
-            got = conv2d_grads(x, w, g, stride, pad, b, scale, relu, residual)
+            got = conv2d_grads(x, w, g, stride, b, scale, relu, residual)
             want = (
                 naive_conv2d(x, w, b, stride, pad, scale, relu, residual),
             ) + naive_conv2d_grads(x, w, g, stride, pad, b, scale, relu, residual)
@@ -282,58 +293,52 @@ class TestConv2dBackward:
 
 @st.composite
 def conv_geometries(draw):
-    """(n, c, o, kh, kw, stride, padding, h, w) with the kernel inside the padded input."""
-    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    h0, w0 = max(1, kh - 2 * pad), max(1, kw - 2 * pad)
-    h = draw(st.integers(h0, h0 + 2 * stride + 1))
-    w = draw(st.integers(w0, w0 + 2 * stride + 1))
+    """(n, c, o, k, stride, h, w): an odd kernel up to 7, stride 1 or 2, sizes from 1."""
+    k, stride = draw(st.sampled_from(CONV_KERNELS)), draw(st.integers(1, 2))
+    h, w = draw(st.integers(1, k + 2 * stride + 1)), draw(st.integers(1, k + 2 * stride + 1))
     n, c, o = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return n, c, o, kh, kw, stride, pad, h, w
+    return n, c, o, k, stride, h, w
 
 
-def read_cells(h, wd, kh, kw, stride, pad):
-    """Boolean [H,W]: the input cells that some conv window reads."""
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+def read_cells(h, wd, k, stride, pad):
+    """Boolean [H,W]: the input cells that some k x k window reads."""
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wd + 2 * pad - k) // stride + 1
     read = np.zeros((h + 2 * pad, wd + 2 * pad), dtype=bool)
     for yo in range(ho):
         for xo in range(wo):
-            read[yo * stride : yo * stride + kh, xo * stride : xo * stride + kw] = True
+            read[yo * stride : yo * stride + k, xo * stride : xo * stride + k] = True
     return read[pad : pad + h, pad : pad + wd]
 
 
 class TestConv2dGeometry:
     """The phase-plane columns against the loop references, and what no window reads."""
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(geometry=conv_geometries(), seed=st.integers(0, 2**32 - 1))
-    # Kernels that are not square, on sizes where (hp - kh) is not a
-    # multiple of the stride, so the last rows and columns go unread.
-    @example(geometry=(2, 2, 3, 3, 2, 2, 0, 6, 5), seed=1)
-    @example(geometry=(1, 3, 2, 7, 3, 2, 3, 10, 7), seed=2)
-    @example(geometry=(2, 1, 2, 2, 5, 3, 1, 6, 8), seed=3)
-    @example(geometry=(1, 2, 2, 1, 4, 3, 2, 5, 4), seed=4)
-    @example(geometry=(2, 2, 1, 5, 1, 1, 3, 2, 6), seed=5)
+    # Kernels wider than the input, one-cell axes, and sizes that the
+    # stride does not divide.
+    @example(geometry=(2, 2, 3, 7, 2, 1, 1), seed=1)
+    @example(geometry=(1, 3, 2, 7, 1, 2, 9), seed=2)
+    @example(geometry=(2, 1, 2, 5, 2, 3, 8), seed=3)
+    @example(geometry=(1, 2, 2, 3, 2, 5, 1), seed=4)
+    @example(geometry=(2, 2, 1, 1, 2, 1, 6), seed=5)
     def test_matches_loop_reference(self, geometry, seed):
-        n, c, o, kh, kw, stride, pad, h, wd = geometry
+        n, c, o, k, stride, h, wd = geometry
         rng = np.random.default_rng(seed)
-        TestConv2dBackward.check(rng, n, c, o, kh, stride, pad, h, wd, kw=kw)
+        TestConv2dBackward.check(rng, n, c, o, k, stride, h, wd)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "h, wd, k, stride, pad",
         [
-            (6, 5, 3, 2, 0),  # the last row
-            (5, 6, 3, 2, 0),  # the last column
-            (7, 7, 2, 2, 0),  # both
-            (7, 8, 1, 2, 1),  # every other row and column: the kernel is narrower than the stride
-            (6, 5, 3, 3, 1),  # the last input row, inside the padding's frame
+            (7, 8, 1, 2, 0),  # every other row and column: the kernel is narrower than the stride
+            (6, 5, 1, 2, 0),
         ],
     )
     def test_unread_cells_reach_no_output_or_gradient(self, h, wd, k, stride, pad, dtype):
         rng = np.random.default_rng(h * 100 + wd * 10 + k)
-        read = read_cells(h, wd, k, k, stride, pad)
+        read = read_cells(h, wd, k, stride, pad)
         assert not read.all()
         x = rng.standard_normal((2, 2, h, wd)).astype(dtype)
         w = rng.standard_normal((3, 2, k, k)).astype(dtype)
@@ -344,7 +349,7 @@ class TestConv2dGeometry:
         for fill in (np.nan, 0.0):
             xf = x.copy()
             xf[:, :, ~read] = fill
-            runs.append(conv2d_grads(xf, w, g, stride, pad, b, s, True, r))
+            runs.append(conv2d_grads(xf, w, g, stride, b, s, True, r))
         # out, dx, dw, dscale, dbias, dresidual
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
@@ -352,14 +357,14 @@ class TestConv2dGeometry:
 
     def test_unpadded_1x1_stride_1_columns_are_the_input(self):
         x = np.random.default_rng(8).standard_normal((2, 3, 4, 5)).astype(np.float32)
-        taps = T._tap_layout(4, 5, 1, 1, 1, 0)
+        taps = T._tap_layout(4, 5, 1, 1)
         cols = T._im2col(x, taps)
         assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
 
-    @pytest.mark.parametrize("stride", [2, 3])
+    @pytest.mark.parametrize("stride", [2])
     def test_unpadded_strided_1x1_columns_are_the_strided_input(self, stride):
         x = np.random.default_rng(8).standard_normal((2, 3, 7, 5)).astype(np.float32)
-        cols = T._im2col(x, T._tap_layout(7, 5, 1, 1, stride, 0))
+        cols = T._im2col(x, T._tap_layout(7, 5, 1, stride))
         assert np.array_equal(cols, x[:, :, ::stride, ::stride].reshape(2, 3, -1))
 
     @pytest.mark.parametrize(
@@ -373,9 +378,12 @@ class TestConv2dGeometry:
         x = rng.standard_normal((1, 3, h, wd)).astype(np.float32)
         w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
         b, s = rng.standard_normal((2, 4)).astype(np.float32)
-        layout = T._tap_layout(h, wd, k, k, stride, pad)
+        layout = T._tap_layout(h, wd, k, stride)
+        # pad is the padding conv2d applies, k // 2.
+        assert layout.ho == (h + 2 * pad - k) // stride + 1
+        assert layout.wo == (wd + 2 * pad - k) // stride + 1
         g = rng.standard_normal((1, 4, layout.ho, layout.wo)).astype(np.float32)
-        _, _, dw, dscale, _, _ = conv2d_grads(x, w, g, stride, pad, b, s)
+        _, _, dw, dscale, _, _ = conv2d_grads(x, w, g, stride, b, s)
         gq = np.zeros((1, 4, layout.ho, layout.wq), dtype=np.float32)
         gq[..., : layout.wo] = g
         cols = T._im2col(x, layout)
@@ -473,15 +481,15 @@ class TestElementwiseAndPooling:
             w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
             s, b = rng.standard_normal((2, 4)).astype(dtype)
             r, g = rng.standard_normal((2, 2, 4, 5, 5)).astype(dtype)
-            pre = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), padding=1, scale=T.Tensor(s))
+            pre = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), scale=T.Tensor(s))
             r[0, 0] = -pre.data[0, 0]  # sums exactly on the kink
 
             def run(fused):
                 xt, wt, st, bt, rt = (T.Tensor(a, requires_grad=True) for a in (x, w, s, b, r))
                 if fused:
-                    out = T.conv2d(xt, wt, bt, padding=1, scale=st, relu=True, residual=rt)
+                    out = T.conv2d(xt, wt, bt, scale=st, relu=True, residual=rt)
                 else:
-                    out = T.relu(T.add(T.conv2d(xt, wt, bt, padding=1, scale=st), rt))
+                    out = T.relu(T.add(T.conv2d(xt, wt, bt, scale=st), rt))
                 T.total_sum(T.mul(out, T.Tensor(g))).backward()
                 return out.data, xt.grad, wt.grad, st.grad, bt.grad, rt.grad
 
@@ -666,7 +674,7 @@ class TestAutodiff:
             b = reg.register("b", rng.standard_normal(2) * 0.5)
             x = reg.register("x", rng.standard_normal((2, 3, 5, 4)) * 0.5)
             fn = lambda: T.total_sum(
-                T.sigmoid(T.conv2d(x, w, b, stride=2, padding=1))
+                T.sigmoid(T.conv2d(x, w, b, stride=2))
             )
         elif name == "conv2d_affine_relu":
             w = reg.register("w", rng.standard_normal((3, 2, 3, 3)) * 0.5)
@@ -674,7 +682,7 @@ class TestAutodiff:
             b = reg.register("b", rng.standard_normal(3) * 0.5)
             x = reg.register("x", rng.standard_normal((2, 2, 5, 4)) * 0.5)
             fn = lambda: T.total_sum(
-                T.sigmoid(T.conv2d(x, w, b, stride=2, padding=1, scale=s, relu=True))
+                T.sigmoid(T.conv2d(x, w, b, stride=2, scale=s, relu=True))
             )
         elif name == "conv2d_residual":
             w = reg.register("w", rng.standard_normal((3, 2, 3, 3)) * 0.5)
@@ -684,7 +692,7 @@ class TestAutodiff:
             r = reg.register("r", rng.standard_normal((2, 3, 3, 2)))
             fn = lambda: T.total_sum(
                 T.sigmoid(
-                    T.conv2d(x, w, b, stride=2, padding=1, scale=s, relu=True, residual=r)
+                    T.conv2d(x, w, b, stride=2, scale=s, relu=True, residual=r)
                 )
             )
         elif name == "conv2d_1x1_bias":
@@ -804,7 +812,7 @@ class TestTapeRelease:
         b = zero_bias(w)
         tracemalloc.start()
         try:
-            out = T.conv2d(x, w, b, padding=1, relu=True)
+            out = T.conv2d(x, w, b, relu=True)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -874,7 +882,7 @@ class TestAccumulate:
         # float32 throughout, so each first weight gradient is handed over uncopied.
         rng = np.random.default_rng(47)
         if kind == "conv2d":
-            op = lambda x, w, b: T.conv2d(x, w, b, padding=1)
+            op = lambda x, w, b: T.conv2d(x, w, b)
             x_shape, w_shape, g_shape = (2, 3, 5, 5), (4, 3, 3, 3), (2, 4, 5, 5)
         else:
             op = T.linear
@@ -1006,18 +1014,18 @@ class TestDtypes:
         assert logits.grad.dtype == np.float32
         assert np.array_equal(logits.grad, ref.grad.astype(np.float32))
 
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_conv2d_backward_stays_float32(self, padding):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv2d_backward_stays_float32(self, k):
         rng = np.random.default_rng(22)
         x = T.Tensor(rng.standard_normal((2, 3, 6, 5)).astype(np.float32), requires_grad=True)
-        w = T.Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
-        out = T.conv2d(x, w, zero_bias(w), stride=2, padding=padding)
+        w = T.Tensor(rng.standard_normal((4, 3, k, k)).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, zero_bias(w), stride=2)
         assert out.data.dtype == np.float32
         T.total_sum(out).backward()
         assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
         # _accumulate would cast a float64 input gradient back; check col2im itself.
-        taps = T._tap_layout(6, 5, 3, 3, 2, padding)
-        dcols = np.ones((2, 3 * 3 * 3, taps.ho * taps.wq), dtype=np.float32)
+        taps = T._tap_layout(6, 5, k, 2)
+        dcols = np.ones((2, 3 * k * k, taps.ho * taps.wq), dtype=np.float32)
         assert T._col2im(dcols, (2, 3, 6, 5), taps).dtype == np.float32
 
 
@@ -1172,7 +1180,6 @@ class TestSettingsLedger:
         "model.synth_dataset(width)",
         "model.train(progress)",
         "tensor.Tensor(requires_grad)",
-        "tensor.conv2d(padding)",
         "tensor.conv2d(relu)",
         "tensor.conv2d(residual)",
         "tensor.conv2d(scale)",
