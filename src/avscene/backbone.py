@@ -28,15 +28,28 @@ STEM_STRIDE = 2
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5
 
 
-def check_int_fields(config) -> None:
-    """Raise ConfigurationError naming the first field annotated ``int`` or
-    ``list[int]`` (as text) that holds anything else; a bool is no int here."""
+def is_int(value) -> bool:
+    """Whether value is an integer, Python's or numpy's; a bool is none."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What a value of each field annotation (as text) may be; a bool is no number.
+_FIELD_TYPES = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": is_int,
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
+    "BackboneConfig": lambda v: isinstance(v, BackboneConfig),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigurationError naming the first field of the dataclass
+    ``config`` whose value does not have the field's annotated type."""
     for f in fields(config):
         value = getattr(config, f.name)
-        items = [value] if f.type == "int" else value if f.type == "list[int]" else []
-        if not isinstance(items, (list, tuple)) or not all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items
-        ):
+        if not _FIELD_TYPES[f.type](value):
             raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
 
 
@@ -50,7 +63,7 @@ class BackboneConfig:
     block_type: str
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if len(self.stage_channels) != 5:
             raise ConfigurationError(
                 f"need 5 stage channel counts, got {len(self.stage_channels)}"

@@ -7,9 +7,10 @@ projection's cost: the 1x1 convolution mixes channels cell by cell, and
 bilinear resampling is one linear map per channel whose interpolation rows
 sum to 1, so the two commute and the bias passes through unchanged; only
 round-off differs. A per-sample, per-channel sigmoid gate,
-computed from globally pooled statistics of both maps, convexly blends them.
-Saturating the gate recovers the shallow map exactly, which makes the module
-easy to test.
+computed from globally pooled statistics of both maps, convexly blends them
+in one ``gate_blend`` op, gate·f_m4 + (1 − gate)·proj. The gate stays a tensor
+of its own, between the sigmoid and the blend. Saturating the gate recovers
+the shallow map exactly, which makes the module easy to test.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from .errors import ConfigurationError
 from .tensor import (
     ParamRegistry,
     Tensor,
-    add,
     bilinear_upsample,
-    channel_scale,
     concat,
     conv2d,
+    gate_blend,
     global_avg_pool,
     linear,
     reshape,
-    scalar_affine,
     sigmoid,
 )
 from .backbone import he_uniform
@@ -64,9 +63,4 @@ class AttentionFusion:
 
         pooled = global_avg_pool(concat([f_m4, proj], axis=1))
         gate = sigmoid(linear(pooled, self.gate_weight, self.gate_bias))
-
-        blended = add(
-            channel_scale(f_m4, gate),
-            channel_scale(proj, scalar_affine(gate, -1.0, 1.0)),
-        )
-        return blended
+        return gate_blend(f_m4, proj, gate)

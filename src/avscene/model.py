@@ -31,7 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, BackboneConfig, check_int_fields, feature_map_dims, he_uniform
+from .backbone import (
+    Backbone,
+    BackboneConfig,
+    check_field_types,
+    feature_map_dims,
+    he_uniform,
+    is_int,
+)
 from .errors import ConfigurationError, DataError, NumericError
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout
@@ -77,7 +84,7 @@ class ModelConfig:
     disable_graph: bool = False
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.num_classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.num_classes}")
         if self.k_nodes % 4 or self.k_nodes < 4:
@@ -485,10 +492,13 @@ class EvalResult:
 def _check_split(examples, num_classes: int, split: str) -> None:
     """Raise DataError naming the split and index of the first bad example.
 
-    An example is bad when its label is outside [0, num_classes), its x has
-    another shape than the split's first example's, or x is not all finite.
+    An example is bad when its label is not an integer (a bool is none) or is
+    outside [0, num_classes), its x has another shape than the split's first
+    example's, or x is not all finite.
     """
     for i, example in enumerate(examples):
+        if not is_int(example.label):
+            raise DataError(f"{split} example {i}: label {example.label!r} is not an integer")
         if not 0 <= example.label < num_classes:
             raise DataError(
                 f"{split} example {i}: label {example.label} "
@@ -598,12 +608,32 @@ TRAIN_FIELDS = (
 )
 # Keys of removed ModelConfig fields, which earlier manifests still carry.
 RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k", "model.modality")
+
+
+def _parse_int(text: str) -> int:
+    """The int ``str`` writes: ASCII digits after an optional minus sign.
+
+    ``int()`` alone would also take a plus sign, spaces and underscores. The
+    minus stays, so that a negative value reaches the field's range check.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+def _parse_float(text: str) -> float:
+    if "_" in text:  # float() takes digit-group underscores
+        raise ValueError(text)
+    return float(text)
+
+
 _PARSERS = {
     "bool": lambda text: bool(("False", "True").index(text)),
-    "int": int,
-    "float": float,
+    "int": _parse_int,
+    "float": _parse_float,
     "str": str,
-    "list[int]": lambda text: [int(v) for v in text.split(",")],
+    "list[int]": lambda text: [_parse_int(v) for v in text.split(",")],
 }
 
 

@@ -1,9 +1,11 @@
 """Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every numeric kernel the scene classifier needs lives here: convolutions,
-activations, pooling, bilinear resampling, the classification loss, a
-parameter registry, a finite-difference gradient checker, and the AGT1
-tensor file format that checkpoints are written in.
+activations, pooling, bilinear resampling, the fusion's gated blend, the
+classification loss, a parameter registry, a finite-difference gradient
+checker, and the AGT1 tensor file format that checkpoints are written in.
+``add`` and ``mul`` have no caller in the package; tests build reference
+compositions from them.
 
 A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
 bias[O] + residual)``; a residual block's last unit takes the shortcut as
@@ -206,14 +208,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
-    """scale * x + shift with python-float coefficients."""
-    out = Tensor(x.data * scale + shift)
+def gate_blend(a: Tensor, b: Tensor, gate: Tensor) -> Tensor:
+    """a·g + b·(g·−1.0 + 1.0) for maps a, b [N,C,H,W] and per-channel weights g = gate[N,C].
 
-    def bwd(g):
-        _accumulate(x, g * scale)
+    The backward gives a G·g, b G·(g·−1.0 + 1.0) and the gate Σ_hw(G·a) +
+    Σ_hw(G·b)·−1.0: the float operations of scaling each map by its weight
+    and adding the two, so both ways of writing the blend give the same bits.
+    """
+    if a.data.ndim != 4 or b.data.shape != a.data.shape or gate.data.shape != a.data.shape[:2]:
+        raise ConfigurationError(
+            f"gate_blend: a {a.data.shape}, b {b.data.shape} and gate {gate.data.shape} "
+            "are not [N,C,H,W], [N,C,H,W] and [N,C]"
+        )
+    g = gate.data[:, :, None, None]
+    rest = (gate.data * -1.0 + 1.0)[:, :, None, None]
+    out = Tensor(a.data * g + b.data * rest)
 
-    return _record(out, (x,), bwd)
+    def bwd(grad):
+        if a.requires_grad:
+            _accumulate(a, grad * g, fresh=True)
+        if b.requires_grad:
+            _accumulate(b, grad * rest, fresh=True)
+        if gate.requires_grad:
+            dgate = (grad * a.data).sum(axis=(2, 3)) + (grad * b.data).sum(axis=(2, 3)) * -1.0
+            _accumulate(gate, dgate, fresh=True)
+
+    return _record(out, (a, b, gate), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -559,24 +579,6 @@ def conv2d(
     return _record(out, parents, bwd)
 
 
-def channel_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale x[N,C,H,W] by per-sample, per-channel gains s[N,C]."""
-    if x.data.ndim != 4 or s.data.shape != x.data.shape[:2]:
-        raise ConfigurationError(
-            f"channel_scale: s {s.data.shape} does not fit x {x.data.shape}"
-        )
-    sx = s.data[:, :, None, None]
-    out = Tensor(x.data * sx)
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g * sx)
-        if s.requires_grad:
-            _accumulate(s, (g * x.data).sum(axis=(2, 3)))
-
-    return _record(out, (x, s), bwd)
-
-
 # ---------------------------------------------------------------------------
 # pooling and resampling
 # ---------------------------------------------------------------------------
@@ -678,7 +680,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             f"softmax_cross_entropy: logits must be rank 2, got {logits.data.ndim}"
         )
     n, l = logits.data.shape
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu":
+        raise DataError(f"softmax_cross_entropy: labels must be integers, got dtype {y.dtype}")
+    y = y.astype(np.int64)
     if y.shape != (n,):
         raise DataError(f"softmax_cross_entropy: labels shape {y.shape} != ({n},)")
     if y.size and (y.min() < 0 or y.max() >= l):
@@ -731,9 +736,6 @@ class ParamRegistry:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
 
     def names(self):
         return list(self._entries)

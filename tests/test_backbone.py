@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=want):
             BackboneConfig(*args, "basic")
 
+    def test_str_field_of_another_type_names_the_field_and_value(self):
+        want = re.escape("block_type must be str, got 1") + "$"
+        with pytest.raises(ConfigurationError, match=want):
+            BackboneConfig(1, [4, 8, 8, 16, 32], [1, 1, 1, 1], 1)
+
     def test_named_presets(self):
         tiny = BackboneConfig.tiny(1)
         assert tiny.stage_channels == [4, 8, 8, 16, 32]

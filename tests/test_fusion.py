@@ -88,6 +88,20 @@ class TestBehavior:
                 one = fusion.forward(T.Tensor(f4[i : i + 1]), T.Tensor(f5[i : i + 1]))
                 assert np.array_equal(batched[i : i + 1], one.data), i
 
+    def test_forward_is_eight_tape_nodes(self):
+        # reshape, conv2d and bilinear_upsample project f_m5; concat,
+        # global_avg_pool, linear and sigmoid make the gate; gate_blend mixes.
+        registry, fusion = make_fusion(4, 8, seed=5)
+        f4 = T.Tensor(np.ones((1, 4, 4, 4)), requires_grad=True)
+        f5 = T.Tensor(np.ones((1, 8, 2, 2)), requires_grad=True)
+        nodes, stack = set(), [fusion.forward(f4, f5)]
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+        assert len(nodes) == 8
+
     def test_gradients_pass_finite_difference(self):
         registry, fusion = make_fusion(4, 8, seed=5)
         rng = np.random.default_rng(6)

@@ -310,8 +310,20 @@ class TestConfigText:
             ("model.disable_graph", "1"),
             ("model.disable_graph", "true"),
             ("model.disable_graph", ""),
+            ("train.epochs", "1_0"),
+            ("train.epochs", "+10"),
+            ("train.epochs", " 10"),
+            ("model.seed", "\u0663"),
+            ("backbone.stage_channels", "4, +8,8,1_6,32"),
+            ("backbone.stage_channels", "4,8,8,1_6,32"),
+            ("backbone.stage_channels", "4,8,8,16, 32"),
+            ("train.lr0", "0.0_1"),
         ],
-        ids=["int", "float", "list", "bool_yes", "bool_1", "bool_lower", "bool_empty"],
+        ids=[
+            "int", "float", "list", "bool_yes", "bool_1", "bool_lower", "bool_empty",
+            "int_underscore", "int_plus", "int_space", "int_non_ascii_digit",
+            "list_sign_and_underscore", "list_underscore", "list_space", "float_underscore",
+        ],
     )
     def test_unparsable_value_names_its_key(self, key, value):
         flat = config_to_flat(ModelConfig.tiny())
@@ -485,6 +497,31 @@ class TestModelConfig:
         want = re.escape(f"{field} must be int, got {value!r}") + "$"
         with pytest.raises(ConfigurationError, match=want):
             ModelConfig.tiny(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("disable_graph", "False", "bool"),
+            ("disable_graph", 0, "bool"),
+            ("disable_graph", np.bool_(True), "bool"),
+            ("lr0", "0.01", "float"),
+            ("momentum", True, "float"),
+            ("lr_decay_factor", None, "float"),
+        ],
+    )
+    def test_field_of_another_type_names_the_field_and_value(self, field, value, kind):
+        want = re.escape(f"{field} must be {kind}, got {value!r}") + "$"
+        with pytest.raises(ConfigurationError, match=want):
+            ModelConfig.tiny(**{field: value})
+
+    def test_backbone_of_another_type_names_the_field_and_value(self):
+        want = re.escape("backbone must be BackboneConfig, got 'tiny'") + "$"
+        with pytest.raises(ConfigurationError, match=want):
+            ModelConfig("tiny", num_classes=4)
+
+    def test_integers_and_numpy_floats_are_floats(self):
+        config = ModelConfig.tiny(lr0=1, momentum=np.float32(0.5), lr_decay_factor=np.float64(2.0))
+        assert (config.lr0, config.momentum, config.lr_decay_factor) == (1, 0.5, 2.0)
 
     def test_numpy_integers_are_integers(self):
         config = ModelConfig.tiny(epochs=np.int64(3), seed=np.int32(2), k_nodes=np.int16(8))
@@ -964,6 +1001,27 @@ class TestTrainLabels:
         with pytest.raises(DataError, match=f"{split} example {index}: label -1"):
             train(ModelConfig.tiny(epochs=1), dataset)
         assert builds == forwards == steps == []
+
+    @pytest.mark.parametrize(
+        "label", [1.5, 1.0, True, "1"], ids=["fraction", "float", "bool", "str"]
+    )
+    @pytest.mark.parametrize("split, index", [("train", 2), ("test", 3)])
+    def test_non_integer_label_raises_before_any_step(self, monkeypatch, split, index, label):
+        # The loss would read 1.5 and True as class 1.
+        dataset = synth_splits("audio", 4, 16, 8, seed=0)
+        getattr(dataset, split)[index].label = label
+        builds = count_calls(monkeypatch, SceneModel, "build")
+        want = re.escape(f"{split} example {index}: label {label!r} is not an integer") + "$"
+        with pytest.raises(DataError, match=want):
+            train(ModelConfig.tiny(epochs=1), dataset)
+        assert builds == []
+
+    def test_numpy_integer_labels_are_integers(self):
+        examples = synth_dataset("audio", 4, 8, seed=2)
+        for e in examples:
+            e.label = np.int64(e.label)
+        model = SceneModel.build(ModelConfig.tiny())
+        assert evaluate(model, examples).confusion.sum() == 8
 
 
 class TestBadExamples:

@@ -628,6 +628,67 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DataError):
             T.softmax_cross_entropy(T.Tensor(np.zeros((1, 3))), [3])
 
+    @pytest.mark.parametrize("labels", [[1.7], [1.0], [True]], ids=["fraction", "float", "bool"])
+    def test_non_integer_label_is_rejected(self, labels):
+        # Cast to int64, 1.7 and True would both be read as class 1.
+        want = "softmax_cross_entropy: labels must be integers, got dtype"
+        with pytest.raises(DataError, match=want):
+            T.softmax_cross_entropy(T.Tensor(np.zeros((1, 3))), labels)
+
+
+def composed_blend(a, b, gate, grad):
+    """Output and (a, b, gate) gradients of the blend written as four ops.
+
+    The ops are add(channel_scale(a, gate), channel_scale(b, scalar_affine(gate,
+    -1.0, 1.0))), each done in numpy as its op did it, with output gradient grad.
+    """
+    g = gate[:, :, None, None]
+    rest = gate * -1.0 + 1.0  # scalar_affine
+    out = a * g + b * rest[:, :, None, None]
+    da = grad * g  # channel_scale's input gradients
+    db = grad * rest[:, :, None, None]
+    d_rest = (grad * b).sum(axis=(2, 3))  # channel_scale's gain gradients
+    dgate = (grad * a).sum(axis=(2, 3))
+    dgate += d_rest * -1.0  # scalar_affine's backward, summed into the gate
+    return out, da, db, dgate
+
+
+class TestGateBlend:
+    @staticmethod
+    def blend_and_grads(a, b, gate, grad):
+        ts = [T.Tensor(v, requires_grad=True) for v in (a, b, gate)]
+        out = T.gate_blend(*ts)
+        T.total_sum(T.mul(out, T.Tensor(grad))).backward()
+        return out.data, *(t.grad for t in ts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("saturated", [False, True], ids=["open", "saturated"])
+    def test_matches_the_composed_ops_bit_for_bit(self, dtype, saturated):
+        rng = np.random.default_rng(61)
+        a, b, grad = (rng.standard_normal((3, 4, 5, 6)).astype(dtype) for _ in range(3))
+        gate = np.ones((3, 4), dtype) if saturated else rng.uniform(0, 1, (3, 4)).astype(dtype)
+        got = self.blend_and_grads(a, b, gate, grad)
+        for got_part, want_part in zip(got, composed_blend(a, b, gate, grad)):
+            assert got_part.dtype == want_part.dtype == dtype
+            assert np.array_equal(got_part, want_part)
+        if saturated:
+            assert np.array_equal(got[0], a)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, gate_shape",
+        [
+            ((2, 3, 4, 4), (2, 3, 4, 5), (2, 3)),
+            ((2, 3, 4, 4), (2, 3, 4, 4), (2, 4)),
+            ((2, 3, 4), (2, 3, 4), (2, 3)),
+        ],
+        ids=["maps", "gate", "rank"],
+    )
+    def test_shape_mismatch_names_the_op_and_every_shape(self, a_shape, b_shape, gate_shape):
+        a, b, gate = (T.Tensor(np.zeros(shape)) for shape in (a_shape, b_shape, gate_shape))
+        want = re.escape(f"gate_blend: a {a_shape}, b {b_shape} and gate {gate_shape} ")
+        with pytest.raises(ConfigurationError, match=want):
+            T.gate_blend(a, b, gate)
+
 
 class TestAutodiff:
     def test_quadratic_gradient(self):
@@ -657,7 +718,7 @@ class TestAutodiff:
             "bilinear_upsample",
             "linear",
             "linear_rank3",
-            "channel_scale",
+            "gate_blend",
             "gather_pixels",
             "batched_matrix_apply_per_item",
             "concat_slice",
@@ -722,10 +783,11 @@ class TestAutodiff:
             b = reg.register("b", rng.standard_normal(2))
             x = reg.register("x", rng.standard_normal((2, 5, 4)))
             fn = lambda: T.total_sum(T.sigmoid(T.linear(x, w, b)))
-        elif name == "channel_scale":
-            x = reg.register("x", rng.standard_normal((2, 3, 4, 4)))
-            s = reg.register("s", rng.standard_normal((2, 3)))
-            fn = lambda: T.total_sum(T.sigmoid(T.channel_scale(x, s)))
+        elif name == "gate_blend":
+            a = reg.register("a", rng.standard_normal((2, 3, 4, 4)))
+            b = reg.register("b", rng.standard_normal((2, 3, 4, 4)))
+            g = reg.register("g", rng.standard_normal((2, 3)))
+            fn = lambda: T.total_sum(T.sigmoid(T.gate_blend(a, b, g)))
         elif name == "gather_pixels":
             x = reg.register("x", rng.standard_normal((2, 3, 4, 4)))
             fn = lambda: T.total_sum(T.sigmoid(T.gather_pixels(x, [0, 5, 5, 15])))
@@ -769,10 +831,10 @@ class TestAutodiff:
 
 
 def affine_chain(x, length=16):
-    """x -> scalar_affine applied `length` times; returns every node."""
+    """x times a constant tensor, `length` times; returns every node."""
     nodes = [x]
     for i in range(length):
-        nodes.append(T.scalar_affine(nodes[-1], 1.0 + 0.01 * i, 0.5))
+        nodes.append(T.mul(nodes[-1], T.Tensor(np.full(x.shape, 1.0 + 0.01 * i))))
     return nodes
 
 
@@ -1045,7 +1107,8 @@ def parsed_modules(directory, pattern="*.py"):
 class TestModuleSurface:
     def test_only_test_support_lacks_a_package_caller(self):
         # An op that no avscene module imports is dead code or test support;
-        # the three below are test support.
+        # the four below are test support. add stays for the reference
+        # compositions that tests build, such as conv2d's fused residual.
         import avscene
 
         public = {
@@ -1061,7 +1124,7 @@ class TestModuleSurface:
             if module is not T:
                 imported.update(id(value) for value in vars(module).values())
         unused = {name for name, fn in public.items() if id(fn) not in imported}
-        assert unused == {"mul", "total_sum", "finite_diff_check"}
+        assert unused == {"add", "mul", "total_sum", "finite_diff_check"}
 
     def test_package_surface_without_a_package_caller_is_pinned(self):
         # A public top-level function or class that no avscene module names
