@@ -10,47 +10,87 @@ full-width network and a tiny trainable variant. Per-channel affine
 pass deterministic and batch-size independent. A conv unit's affine and ReLU
 live inside its ``conv2d`` op, and a residual block's join (shortcut sum and
 ReLU) inside the op of its last unit: each unit records one tape node, and
-no block keeps its pre-join output.
+no block keeps its pre-join output. ``FIELD_TYPES`` checks, stores, reads
+and writes the fields of this config and of ``model.ModelConfig``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int
 from .tensor import ParamRegistry, Tensor, conv2d, global_avg_pool
 
 STEM_STRIDE = 2
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5
 
 
-def is_int(value) -> bool:
-    """Whether value is an integer, Python's or numpy's; a bool is none."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _parse_int(text: str) -> int:
+    """The int ``str`` writes: ASCII digits after an optional minus sign.
+
+    ``int()`` alone would also take a plus sign, spaces and underscores. The
+    minus stays, so that a negative value reaches the field's range check.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
-# What a value of each field annotation (as text) may be; a bool is no number.
-_FIELD_TYPES = {
-    "bool": lambda v: isinstance(v, bool),
-    "int": is_int,
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
-    "BackboneConfig": lambda v: isinstance(v, BackboneConfig),
+def _is_float(value) -> bool:
+    """Whether value is a real number that a float can hold; a bool is none."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and not (is_int(value) and abs(value) > sys.float_info.max)
+
+
+def _parse_float(text: str) -> float:
+    if "_" in text:  # float() takes digit-group underscores
+        raise ValueError(text)
+    return float(text)
+
+
+class FieldType(NamedTuple):
+    """How a config field of one annotation is checked, stored, read and written."""
+
+    check: Callable  # whether a value may be the field's; a bool is no number
+    plain: Callable  # the plain Python value a checked value is stored as
+    parse: Callable  # config text -> value; ValueError when the text is not one
+    write: Callable  # value -> config text, which ``parse`` reads back
+
+
+# One row per field annotation (as text) of ModelConfig and BackboneConfig. The
+# backbone field is written as the backbone's own fields: its row has no text.
+FIELD_TYPES = {
+    "bool": FieldType(
+        lambda v: isinstance(v, bool), bool, lambda text: bool(("False", "True").index(text)), str
+    ),
+    "int": FieldType(is_int, int, _parse_int, str),
+    "float": FieldType(_is_float, float, _parse_float, str),
+    "str": FieldType(lambda v: isinstance(v, str), str, str, str),
+    "list[int]": FieldType(
+        lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
+        lambda v: [int(i) for i in v],
+        lambda text: [_parse_int(i) for i in text.split(",")],
+        lambda v: ",".join(map(str, v)),
+    ),
+    "BackboneConfig": FieldType(lambda v: isinstance(v, BackboneConfig), lambda v: v, None, None),
 }
 
 
 def check_field_types(config) -> None:
-    """Raise ConfigurationError naming the first field of the dataclass
-    ``config`` whose value does not have the field's annotated type."""
+    """Store each field of the dataclass ``config`` as its type's plain value
+    (``FIELD_TYPES``); raise ConfigurationError naming a field of another type."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if not _FIELD_TYPES[f.type](value):
+        kind, value = FIELD_TYPES[f.type], getattr(config, f.name)
+        if not kind.check(value):
             raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        setattr(config, f.name, kind.plain(value))
 
 
 @dataclass

@@ -12,7 +12,6 @@ gives 401×64.
 from __future__ import annotations
 
 import functools
-import numbers
 import struct
 import wave
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, is_int
 from .pnm import read_pnm
 from .tensor import Tensor, bilinear_upsample
 
@@ -40,7 +39,7 @@ class AudioClip:
 
     def __post_init__(self):
         rate = self.sample_rate
-        if not isinstance(rate, numbers.Integral) or rate <= 0:
+        if not is_int(rate) or rate <= 0:
             raise ConfigurationError(f"sample rate must be a positive integer, got {rate!r}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
@@ -200,19 +199,18 @@ def mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+def mel_filterbank(sample_rate: int) -> np.ndarray:
     """Triangular filters on the HTK mel scale, each row normalized to sum 1.
 
-    Returns [n_mels, n_fft//2 + 1] weights over the non-negative FFT bins,
-    as a cached read-only array.
+    Returns [N_MELS, N_FFT//2 + 1] weights over the non-negative FFT bins,
+    as a cached read-only array. From 101275 Hz up, the lowest filter falls
+    between two FFT bins, and the rate is rejected.
     """
-    if n_mels < 1:
-        raise ConfigurationError(f"n_mels must be positive, got {n_mels}")
-    edges_mel = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    edges_mel = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), N_MELS + 2)
     edges_hz = mel_to_hz(edges_mel)
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    bank = np.zeros((n_mels, bin_hz.size))
-    for m in range(n_mels):
+    bin_hz = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
+    bank = np.zeros((N_MELS, bin_hz.size))
+    for m in range(N_MELS):
         left, center, right = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
@@ -220,7 +218,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     sums = bank.sum(axis=1)
     if np.any(sums <= 0.0):
         raise ConfigurationError(
-            f"mel filter narrower than one FFT bin (n_mels={n_mels}, n_fft={n_fft})"
+            f"sample rate {sample_rate} Hz: a mel filter is narrower than one FFT bin"
         )
     bank /= sums[:, None]
     bank.flags.writeable = False  # the cache hands this array to every caller
@@ -260,7 +258,7 @@ def extract_logmel(clip: AudioClip) -> LogMelSpectrogram:
     for first in range(0, n_frames, rows):
         spectrum = np.fft.rfft(windows[first : first + rows] * taper, axis=1)
         power[first : first + rows] = np.abs(spectrum) ** 2
-    bank = mel_filterbank(N_MELS, N_FFT, clip.sample_rate)
+    bank = mel_filterbank(clip.sample_rate)
     mel_power = power @ bank.T
     values = np.log(mel_power + LOG_FLOOR)[None, :, :]
     return LogMelSpectrogram(values=Tensor(values))
@@ -277,7 +275,7 @@ def load_image(path, size: int | None = None) -> Tensor:
     Grayscale images are replicated across the three channels; ``size``
     triggers a bilinear resize to size x size.
     """
-    if size is not None and (not isinstance(size, numbers.Integral) or isinstance(size, bool)):
+    if size is not None and not is_int(size):
         raise ConfigurationError(f"image size must be an integer, got {size!r}")
     if size is not None and size < 1:
         raise ConfigurationError(f"image size must be >= 1, got {size}")

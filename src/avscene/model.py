@@ -32,14 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import (
+    FIELD_TYPES,
     Backbone,
     BackboneConfig,
     check_field_types,
     feature_map_dims,
     he_uniform,
-    is_int,
 )
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, DataError, NumericError, is_int
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout
 from .graphs import build_scene_graphs, propagation_matrix, validate_k
@@ -610,33 +610,6 @@ TRAIN_FIELDS = (
 RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k", "model.modality")
 
 
-def _parse_int(text: str) -> int:
-    """The int ``str`` writes: ASCII digits after an optional minus sign.
-
-    ``int()`` alone would also take a plus sign, spaces and underscores. The
-    minus stays, so that a negative value reaches the field's range check.
-    """
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    if "_" in text:  # float() takes digit-group underscores
-        raise ValueError(text)
-    return float(text)
-
-
-_PARSERS = {
-    "bool": lambda text: bool(("False", "True").index(text)),
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": str,
-    "list[int]": lambda text: [_parse_int(v) for v in text.split(",")],
-}
-
-
 def _keyed_fields(cls):
     """(key, field) for each field of cls except ModelConfig.backbone."""
     for f in fields(cls):
@@ -651,8 +624,7 @@ def config_to_flat(config: ModelConfig) -> dict:
     flat = {}
     for obj in (config, config.backbone):
         for key, f in _keyed_fields(type(obj)):
-            v = getattr(obj, f.name)
-            flat[key] = ",".join(map(str, v)) if f.type == "list[int]" else str(v)
+            flat[key] = FIELD_TYPES[f.type].write(getattr(obj, f.name))
     return flat
 
 
@@ -672,7 +644,7 @@ def config_from_flat(flat: dict) -> ModelConfig:
         for key, f in _keyed_fields(cls):
             if key in flat:
                 try:
-                    given[f.name] = _PARSERS[f.type](flat[key])
+                    given[f.name] = FIELD_TYPES[f.type].parse(flat[key])
                 except ValueError:
                     bad = f"config key {key}: cannot parse {flat[key]!r} as {f.type}"
                     raise ConfigurationError(bad) from None

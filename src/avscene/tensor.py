@@ -42,13 +42,12 @@ import contextlib
 import contextvars
 import functools
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, DataError, NumericError, is_int
 
 # Dtypes a Tensor keeps as given; any other input becomes float64.
 _FLOAT_DTYPES = frozenset({np.dtype(np.float32), np.dtype(np.float64)})
@@ -288,7 +287,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
-        _accumulate(x, g.reshape(x.data.shape))
+        # g is this node's own gradient, which it drops after this closure.
+        _accumulate(x, g.reshape(x.data.shape), fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -517,7 +517,7 @@ def conv2d(
         raise ConfigurationError(f"conv2d: weight expects {cw} channels, input has {c}")
     if k != kw or k % 2 == 0:
         raise ConfigurationError(f"conv2d: kernel {k}x{kw} is not odd and square")
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride not in (1, 2):
+    if not is_int(stride) or stride not in (1, 2):
         raise ConfigurationError(f"conv2d: stride must be 1 or 2, got {stride!r}")
     if h < 1 or wd < 1:
         raise ConfigurationError(f"conv2d: input {xn.shape} has an empty spatial axis")

@@ -15,7 +15,7 @@ def make_clip(samples, rate=16000):
     return fe.AudioClip(np.asarray(samples, dtype=np.float64), rate)
 
 
-def index_framed_logmel(clip, hop=400, n_mels=64, n_fft=1024):
+def index_framed_logmel(clip, hop=400, n_fft=1024):
     """extract_logmel with frames gathered by a fancy index (the reference)."""
     samples = clip.samples
     pad = n_fft // 2
@@ -24,7 +24,7 @@ def index_framed_logmel(clip, hop=400, n_mels=64, n_fft=1024):
     starts = np.arange(n_frames) * hop
     frames = padded[starts[:, None] + np.arange(n_fft)[None, :]] * fe._hann(n_fft)
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    mel_power = power @ fe.mel_filterbank(n_mels, n_fft, clip.sample_rate).T
+    mel_power = power @ fe.mel_filterbank(clip.sample_rate).T
     return np.log(mel_power + fe.LOG_FLOOR)[None, :, :]
 
 
@@ -162,8 +162,8 @@ class TestWav:
 class TestAudioClip:
     @pytest.mark.parametrize(
         "rate",
-        [16000.5, 16000.0, float("nan"), "16000", 0, -8000, np.int64(0)],
-        ids=["16000.5", "16000.0", "nan", "str", "0", "-8000", "np_int64_0"],
+        [16000.5, 16000.0, float("nan"), "16000", 0, -8000, np.int64(0), True],
+        ids=["16000.5", "16000.0", "nan", "str", "0", "-8000", "np_int64_0", "True"],
     )
     def test_rate_must_be_a_positive_integer(self, rate):
         with pytest.raises(ConfigurationError, match=re.escape(f"got {rate!r}") + "$"):
@@ -314,9 +314,20 @@ class TestLogMel:
             assert spec.num_frames == 1 + n // 400
 
     def test_filterbank_rows_normalized(self):
-        bank = fe.mel_filterbank(64, 1024, 16000)
+        bank = fe.mel_filterbank(16000)
+        assert bank.shape == (64, 513)
         assert np.all(bank >= 0.0)
         assert np.max(np.abs(bank.sum(axis=1) - 1.0)) < 1e-9
+
+    def test_rate_whose_lowest_filter_misses_every_bin_is_named(self):
+        # At 192 kHz the 1024-point FFT's bins are 187.5 Hz apart, wider than
+        # the lowest mel filter; at 96 kHz every filter still covers a bin.
+        clip = make_clip(np.zeros(2048), rate=192000)
+        want = "^sample rate 192000 Hz: a mel filter is narrower than one FFT bin$"
+        with pytest.raises(ConfigurationError, match=want):
+            fe.extract_logmel(clip)
+        spec = fe.extract_logmel(make_clip(np.zeros(2048), rate=96000))
+        assert spec.values.shape == (1, 6, 64)
 
     def test_scaling_is_monotone(self):
         rng = np.random.default_rng(6)
@@ -375,8 +386,8 @@ class TestLogMel:
         assert peak <= 4.5 * 2**20
 
     def test_filterbank_is_cached_read_only(self):
-        bank = fe.mel_filterbank(64, 1024, 16000)
-        assert bank is fe.mel_filterbank(64, 1024, 16000)
+        bank = fe.mel_filterbank(16000)
+        assert bank is fe.mel_filterbank(16000)
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
 

@@ -270,11 +270,21 @@ OFF_DEFAULT = ModelConfig(
 class TestConfigText:
     @pytest.mark.parametrize(
         "config",
-        [ModelConfig.tiny(), ModelConfig.full(8), OFF_DEFAULT],
-        ids=["tiny", "full", "off_default"],
+        [
+            ModelConfig.tiny(),
+            ModelConfig.full(8),
+            OFF_DEFAULT,
+            # Fields hold plain Python values, so the text is the value
+            # itself: np.float32(0.01) is stored as the float it equals, not
+            # written as 0.01, and tuples are stored as the lists they load as.
+            ModelConfig.tiny(lr0=np.float32(0.01), momentum=np.float64(0.5), seed=np.int64(3)),
+            ModelConfig(BackboneConfig(1, (4, 8, 8, 16, 32), (1, 1, 1, 1), "basic"), num_classes=4),
+        ],
+        ids=["tiny", "full", "off_default", "numpy_scalars", "tuples"],
     )
     def test_round_trip(self, config):
-        assert config_from_flat(parse_config_text(config_to_text(config))) == config
+        loaded = config_from_flat(parse_config_text(config_to_text(config)))
+        assert loaded == config and repr(loaded) == repr(config)
 
     def test_off_default_case_sets_every_field_off_its_default(self):
         for obj in (OFF_DEFAULT, OFF_DEFAULT.backbone):
@@ -507,6 +517,7 @@ class TestModelConfig:
             ("lr0", "0.01", "float"),
             ("momentum", True, "float"),
             ("lr_decay_factor", None, "float"),
+            pytest.param("lr0", 10**400, "float", id="lr0-beyond_float_range-float"),
         ],
     )
     def test_field_of_another_type_names_the_field_and_value(self, field, value, kind):
