@@ -50,10 +50,8 @@ from .tensor import (
     concat,
     linear,
     no_grad,
-    read_agt1,
     slice_batch,
     softmax_cross_entropy,
-    write_agt1,
 )
 
 # Input channels per modality: a log-Mel spectrogram or an RGB image.
@@ -493,8 +491,9 @@ def _check_split(examples, num_classes: int, split: str) -> None:
     """Raise DataError naming the split and index of the first bad example.
 
     An example is bad when its label is not an integer (a bool is none) or is
-    outside [0, num_classes), its x has another shape than the split's first
-    example's, or x is not all finite.
+    outside [0, num_classes), its x is not a numpy array of integers or
+    floats, has another shape than the split's first example's, or is not all
+    finite.
     """
     for i, example in enumerate(examples):
         if not is_int(example.label):
@@ -504,12 +503,17 @@ def _check_split(examples, num_classes: int, split: str) -> None:
                 f"{split} example {i}: label {example.label} "
                 f"out of range [0, {num_classes})"
             )
-        if example.x.shape != examples[0].x.shape:
+        x = example.x
+        if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
+            got = f"dtype {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
             raise DataError(
-                f"{split} example {i}: shape {example.x.shape} "
-                f"!= {examples[0].x.shape} of example 0"
+                f"{split} example {i}: x must be a numpy array of integers or floats, got {got}"
             )
-        if not np.isfinite(example.x).all():
+        if x.shape != examples[0].x.shape:
+            raise DataError(
+                f"{split} example {i}: shape {x.shape} != {examples[0].x.shape} of example 0"
+            )
+        if not np.isfinite(x).all():
             raise DataError(f"{split} example {i}: non-finite value in x")
 
 
@@ -606,8 +610,6 @@ CONFIG_FILENAME = "config.txt"
 TRAIN_FIELDS = (
     "lr0", "momentum", "lr_decay_factor", "lr_decay_every", "epochs", "batch_size"
 )
-# Keys of removed ModelConfig fields, which earlier manifests still carry.
-RETIRED_KEYS = ("model.gcn_layers", "model.allow_any_k", "model.modality")
 
 
 def _keyed_fields(cls):
@@ -631,13 +633,13 @@ def config_to_flat(config: ModelConfig) -> dict:
 def config_from_flat(flat: dict) -> ModelConfig:
     """Inverse of ``config_to_flat``: each value is parsed by its field's type.
 
-    A missing key takes its field's dataclass default, and ``RETIRED_KEYS``
-    are ignored. Any other unknown key, a missing key with no default, or a
-    value that does not parse raises ConfigurationError naming the key.
+    A missing key takes its field's dataclass default. An unknown key, a
+    missing key with no default, or a value that does not parse raises
+    ConfigurationError naming the key.
     """
     known = {key for cls in (ModelConfig, BackboneConfig) for key, _ in _keyed_fields(cls)}
     for key in flat:
-        if key not in known and key not in RETIRED_KEYS:
+        if key not in known:
             raise ConfigurationError(f"unknown config key {key}")
 
     def build(cls, **given):
@@ -676,24 +678,25 @@ def config_to_text(config: ModelConfig) -> str:
 
 
 def save_checkpoint(model: SceneModel, directory) -> None:
-    """Directory of AGT1 tensors named by registry key, plus the config manifest."""
+    """The config manifest plus one float32 ``<name>.npy`` per registry key."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / CONFIG_FILENAME).write_text(
         config_to_text(model.config), encoding="utf-8"
     )
     for name, p in model.registry.items():
-        write_agt1(directory / f"{name}.agt1", p.data)
+        np.save(directory / f"{name}.npy", p.data.astype("<f4"))
 
 
 def load_checkpoint(directory) -> SceneModel:
     """Rebuild the model from its config manifest and load every tensor.
 
-    The model is float32, as ``SceneModel.build`` makes it, and AGT1 stores
-    f32, so the weights of a float32 model come back bit for bit. Those of a
-    model constructed on a float64 registry come back as the nearest f32,
-    within a relative 2**-24. A missing, misshapen or non-finite tensor raises
-    DataError naming it.
+    The model is float32, as ``SceneModel.build`` makes it, and the files
+    hold f32, so the weights of a float32 model come back bit for bit. Those
+    of a model constructed on a float64 registry come back as the nearest
+    f32, within a relative 2**-24. A tensor file that is missing, is not a
+    whole ``.npy`` file of little-endian float32, or holds the wrong shape or
+    a non-finite value raises DataError naming the file.
     """
     directory = Path(directory)
     manifest = directory / CONFIG_FILENAME
@@ -705,13 +708,24 @@ def load_checkpoint(directory) -> SceneModel:
         raise ConfigurationError(f"{manifest}: {exc}") from exc
     model = SceneModel.build(config)
     for name, p in model.registry.items():
-        path = directory / f"{name}.agt1"
+        path = directory / f"{name}.npy"
         if not path.is_file():
-            raise DataError(f"{directory}: missing tensor {name}")
-        value = read_agt1(path)
+            raise DataError(f"{path}: missing tensor {name}")
+        try:
+            # Maps the payload without reading it, and only once the file is
+            # as long as its header claims. Header dims whose product
+            # overflows int64 raise a RuntimeWarning under -W error.
+            value = np.lib.format.open_memmap(path, mode="r")
+        except (OSError, ValueError, RuntimeWarning) as exc:
+            raise DataError(f"{path}: not a .npy file: {exc}") from None
+        if value.dtype != np.dtype("<f4"):
+            raise DataError(f"{path}: dtype {value.dtype.str}, expected <f4")
+        extra = path.stat().st_size - value.offset - value.nbytes
+        if extra:
+            raise DataError(f"{path}: {extra} bytes after the payload")
         if value.shape != p.data.shape:
             raise DataError(
-                f"{name}: checkpoint shape {value.shape} != model shape {p.data.shape}"
+                f"{path}: checkpoint shape {value.shape} != model shape {p.data.shape}"
             )
         bad = np.flatnonzero(~np.isfinite(value))
         if bad.size:

@@ -2,10 +2,9 @@
 
 Every numeric kernel the scene classifier needs lives here: convolutions,
 activations, pooling, bilinear resampling, the fusion's gated blend, the
-classification loss, a parameter registry, a finite-difference gradient
-checker, and the AGT1 tensor file format that checkpoints are written in.
-``add`` and ``mul`` have no caller in the package; tests build reference
-compositions from them.
+classification loss, a parameter registry and a finite-difference gradient
+checker. ``add`` and ``mul`` have no caller in the package; tests build
+reference compositions from them.
 
 A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
 bias[O] + residual)``; a residual block's last unit takes the shortcut as
@@ -30,8 +29,7 @@ A tensor holds float32 or float64; any other input becomes float64. Every op
 computes in its operands' dtype, and a gradient takes the dtype of the tensor
 it belongs to. ``softmax_cross_entropy`` is the exception: it reduces in
 float64 and returns a float64 loss, as in mixed-precision training. A
-``ParamRegistry`` casts its parameters to the one dtype it is built with. The
-AGT1 file format stores float32, so a float32 tensor round-trips bit for bit.
+``ParamRegistry`` casts its parameters to the one dtype it is built with.
 There is no broadcasting beyond bias addition: operands must match shapes
 exactly.
 """
@@ -41,8 +39,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -811,45 +807,3 @@ def finite_diff_check(
                     worst = rel
             per_param[name] = worst
     return GradCheckReport(per_param)
-
-
-# ---------------------------------------------------------------------------
-# AGT1 tensor file format
-# ---------------------------------------------------------------------------
-
-AGT1_MAGIC = b"AGT1"
-
-
-def write_agt1(path, a: np.ndarray) -> None:
-    """Write an array as AGT1: magic, u8 rank, u32 LE dims, f32 LE payload."""
-    if a.ndim > 255:
-        raise ConfigurationError(f"AGT1 rank limit exceeded: {a.ndim}")
-    with open(path, "wb") as f:
-        f.write(AGT1_MAGIC)
-        f.write(struct.pack("<B", a.ndim))
-        if a.ndim:
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-        f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
-
-
-def read_agt1(path) -> np.ndarray:
-    """Read an AGT1 file into a float64 array (payload is stored as f32)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != AGT1_MAGIC:
-        raise DataError(f"{path}: not an AGT1 file (bad magic at byte 0)")
-    if len(raw) < 5:
-        raise DataError(f"{path}: truncated header at byte {len(raw)}")
-    rank = raw[4]
-    header_end = 5 + 4 * rank
-    if len(raw) < header_end:
-        raise DataError(f"{path}: truncated dims at byte {len(raw)}")
-    dims = struct.unpack(f"<{rank}I", raw[5:header_end]) if rank else ()
-    count = math.prod(dims)  # exact: an int64 product of u32 dims can wrap
-    expected = header_end + 4 * count
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: payload ends at byte {len(raw)}, expected {expected}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", count=count, offset=header_end)
-    return flat.astype(np.float64).reshape(dims)

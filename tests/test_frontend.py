@@ -323,7 +323,10 @@ class TestLogMel:
         # At 192 kHz the 1024-point FFT's bins are 187.5 Hz apart, wider than
         # the lowest mel filter; at 96 kHz every filter still covers a bin.
         clip = make_clip(np.zeros(2048), rate=192000)
-        want = "^sample rate 192000 Hz: a mel filter is narrower than one FFT bin$"
+        want = (
+            "^sample rate 192000 Hz: a mel filter is narrower than one FFT bin;"
+            r" resample the clip to 16000 Hz first \(frontend.resample\)$"
+        )
         with pytest.raises(ConfigurationError, match=want):
             fe.extract_logmel(clip)
         spec = fe.extract_logmel(make_clip(np.zeros(2048), rate=96000))

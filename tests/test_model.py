@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from avscene.fusion import AttentionFusion
 from avscene.gcn import gcn_layer, graph_readout
 from avscene.graphs import build_scene_graphs, propagation_matrix, select_nodes
 from avscene.model import (
-    RETIRED_KEYS,
     SGD,
     ModelConfig,
     SceneModel,
@@ -225,7 +226,6 @@ class TestFloat32Learning:
 # config_to_text(ModelConfig.tiny()) as the hand-written text functions wrote
 # it, before the keys were derived from the dataclass fields.
 TINY_TEXT = """\
-model.modality = audio
 model.num_classes = 4
 model.k_nodes = 8
 model.gcn_out_channels = 8
@@ -294,7 +294,6 @@ class TestConfigText:
 
     def test_earlier_text_keeps_its_keys_and_loads(self):
         want = parse_config_text(TINY_TEXT)
-        del want["model.modality"]  # a retired key
         want["model.disable_graph"] = "False"
         assert config_to_flat(ModelConfig.tiny()) == want
         assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
@@ -454,14 +453,17 @@ class TestModelConfig:
             assert p.grad is not None and np.any(p.grad != 0.0), name
             assert not np.array_equal(p.data, before[name]), name
 
-    def test_manifest_with_a_retired_key_still_loads(self):
-        # Manifests written before gcn_layers, allow_any_k and modality were removed.
-        assert RETIRED_KEYS == ("model.gcn_layers", "model.allow_any_k", "model.modality")
-        config = ModelConfig.tiny(k_nodes=12)
-        for key, value in zip(RETIRED_KEYS, ("1", "False", "audio")):
-            flat = config_to_flat(config)
-            flat[key] = value
-            assert config_from_flat(flat) == config, key
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model.gcn_layers", "1"), ("model.allow_any_k", "False"), ("model.modality", "audio")],
+    )
+    def test_key_of_a_removed_field_is_unknown(self, key, value):
+        # Only manifests of the earlier tensor format carry these keys, and
+        # that format no longer loads.
+        flat = config_to_flat(ModelConfig.tiny(k_nodes=12))
+        flat[key] = value
+        with pytest.raises(ConfigurationError, match=f"unknown config key {key}$"):
+            config_from_flat(flat)
 
     @pytest.mark.parametrize("batch_size", [-1, 0])
     def test_non_positive_batch_size_names_the_value(self, batch_size):
@@ -1036,15 +1038,20 @@ class TestTrainLabels:
 
 
 class TestBadExamples:
-    # A ragged or non-finite example fails before any model is built or run,
-    # with a DataError naming its split and index.
+    # A ragged, non-numeric or non-finite example fails before any model is
+    # built or run, with a DataError naming its split and index.
+    NOT_REAL = "x must be a numpy array of integers or floats"
+
     @pytest.mark.parametrize(
         "index, x, message",
         [
             (3, np.zeros((1, 64, 33)), r"shape \(1, 64, 33\) != \(1, 64, 32\) of example 0"),
             (5, np.full((1, 64, 32), np.nan), "non-finite value in x"),
+            (3, np.zeros((1, 64, 32)).tolist(), f"{NOT_REAL}, got list$"),
+            (3, np.full((1, 64, 32), "0"), f"{NOT_REAL}, got dtype <U1$"),
+            (4, np.zeros((1, 64, 32), complex), f"{NOT_REAL}, got dtype complex128$"),
         ],
-        ids=["ragged", "non_finite"],
+        ids=["ragged", "non_finite", "nested_list", "strings", "complex"],
     )
     def test_bad_train_example_is_named(self, monkeypatch, index, x, message):
         dataset = synth_splits("audio", 4, 16, 8, seed=0)
@@ -1089,6 +1096,36 @@ class TestTrainEvaluations:
             assert report.final_test_accuracy is None
             assert [e.test_accuracy for e in report.epochs] == [None] * 3
 
+    def test_progress_gets_each_epoch_once_its_test_accuracy_is_in(self, monkeypatch):
+        dataset = synth_splits("audio", 4, 16, 8, seed=6)
+        events, evaluate_ = [], M.evaluate
+
+        def evaluate_spy(model, examples):
+            result = evaluate_(model, examples)
+            events.append(("evaluate", result.accuracy))
+            return result
+
+        def progress(stats):  # a copy keeps the fields as they were at the call
+            events.append(("progress", stats, dataclasses.replace(stats)))
+
+        monkeypatch.setattr(M, "evaluate", evaluate_spy)
+        _, report = train(ModelConfig.tiny(seed=6, epochs=3), dataset, progress=progress)
+        assert [event[0] for event in events] == ["evaluate", "progress"] * 3
+        calls = events[1::2]
+        assert all(stats is epoch for (_, stats, _), epoch in zip(calls, report.epochs))
+        assert [copy for _, _, copy in calls] == report.epochs
+        assert [stats.epoch for _, stats, _ in calls] == [0, 1, 2]
+        accuracies = [accuracy for _, accuracy in events[::2]]
+        assert [copy.test_accuracy for _, _, copy in calls] == accuracies
+
+
+def npy_header(shape, descr="<f4"):
+    """The .npy magic and header of a C-order array, without its payload."""
+    out = io.BytesIO()
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(out, header)
+    return out.getvalue()
+
 
 class TestCheckpoint:
     @staticmethod
@@ -1124,9 +1161,81 @@ class TestCheckpoint:
 
     def test_missing_tensor_names_it(self, tmp_path):
         save_checkpoint(self.randomized_model(), tmp_path)
-        (tmp_path / "head.bias.agt1").unlink()
-        with pytest.raises(DataError, match="head.bias"):
+        path = tmp_path / "head.bias.npy"
+        path.unlink()
+        with pytest.raises(DataError, match=re.escape(f"{path}: missing tensor head.bias")):
             load_checkpoint(tmp_path)
+
+    def test_wrong_shape_names_it(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        path = tmp_path / "head.bias.npy"
+        np.save(path, np.zeros(5, dtype="<f4"))
+        want = re.escape(f"{path}: checkpoint shape (5,) != model shape (4,)")
+        with pytest.raises(DataError, match=want):
+            load_checkpoint(tmp_path)
+
+    def test_files_are_the_config_text_and_one_npy_per_name(self, tmp_path):
+        model = self.randomized_model()
+        save_checkpoint(model, tmp_path)
+        names = model.registry.names()
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            ["config.txt", *(f"{name}.npy" for name in names)]
+        )
+        assert (tmp_path / "config.txt").read_bytes() == config_to_text(model.config).encode()
+        for name, p in model.registry.items():
+            stored = np.load(tmp_path / f"{name}.npy")
+            assert stored.dtype == np.dtype("<f4") and stored.shape == p.data.shape, name
+            assert np.array_equal(stored.view(np.uint32), p.data.view(np.uint32)), name
+
+    # How each case rewrites the bytes of head.bias.npy (4 float32 values),
+    # and what the error says after the file's name.
+    MALFORMED = {
+        "bad_magic": (lambda raw: b"NOPE" + raw[4:], "not a .npy file: the magic string"),
+        "truncated_header": (lambda raw: raw[:40], "not a .npy file: EOF"),
+        "truncated_payload": (lambda raw: raw[:-3], "not a .npy file"),
+        "bytes_after_payload": (lambda raw: raw + b"\0\0", "2 bytes after the payload"),
+        # 2^64 values: an int64 product of the dims wraps to 0, which a
+        # header-only file would match.
+        "dims_overflow_int64": (
+            lambda raw: npy_header((2**31, 2**31, 4)),
+            "not a .npy file",
+        ),
+        "float64": (
+            lambda raw: npy_header((4,), "<f8") + bytes(32),
+            "dtype <f8, expected <f4",
+        ),
+        "big_endian": (
+            lambda raw: npy_header((4,), ">f4") + bytes(16),
+            "dtype >f4, expected <f4",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_tensor_file_names_it(self, tmp_path, case):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        path = tmp_path / "head.bias.npy"
+        rewrite, message = self.MALFORMED[case]
+        path.write_bytes(rewrite(path.read_bytes()))
+        # On overflowing dims numpy warns and then raises; under -W error the
+        # warning is what the loader catches.
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
+                    load_checkpoint(tmp_path)
+
+    def test_header_larger_than_the_file_allocates_nothing_of_its_size(self, tmp_path):
+        save_checkpoint(self.randomized_model(), tmp_path)
+        path = tmp_path / "head.bias.npy"
+        path.write_bytes(npy_header((2**12, 2**12)))  # claims 64 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=re.escape(f"{path}: not a .npy file")):
+                load_checkpoint(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
 
     @pytest.mark.parametrize(
         "line",
@@ -1171,10 +1280,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
     def test_non_finite_tensor_names_the_file_and_index(self, tmp_path, bad):
         save_checkpoint(self.randomized_model(), tmp_path)
-        path = tmp_path / "backbone.conv1.weight.agt1"
-        value = T.read_agt1(path)
+        path = tmp_path / "backbone.conv1.weight.npy"
+        value = np.load(path)
         value.reshape(-1)[[5, 9]] = bad
-        T.write_agt1(path, value)
+        np.save(path, value)
         want = re.escape(f"{path}: non-finite value at flat index 5")
         with pytest.raises(DataError, match=want):
             load_checkpoint(tmp_path)
@@ -1193,12 +1302,6 @@ class TestCheckpoint:
             want, got = model.forward(x).data, loaded.forward(x).data
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert fusions == []
-
-    def test_wrong_shape_names_it(self, tmp_path):
-        save_checkpoint(self.randomized_model(), tmp_path)
-        T.write_agt1(tmp_path / "head.bias.agt1", np.zeros(5))
-        with pytest.raises(DataError, match="head.bias"):
-            load_checkpoint(tmp_path)
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import itertools
 import math
 import pkgutil
 import re
-import struct
+import sys
 import tracemalloc
 import weakref
 import zlib
@@ -981,50 +981,6 @@ class TestAccumulate:
         assert np.array_equal(w.grad, np.tile([3.0, 5.0, 7.0], (2, 1)))
 
 
-class TestAgt1Format:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal((3, 4, 5)).astype(np.float32).astype(np.float64)
-        p = tmp_path / "t.agt1"
-        T.write_agt1(p, a)
-        back = T.read_agt1(p)
-        assert back.shape == (3, 4, 5)
-        assert np.array_equal(back, a)
-
-    def test_header_layout(self, tmp_path):
-        p = tmp_path / "t.agt1"
-        T.write_agt1(p, np.zeros((2, 3)))
-        raw = p.read_bytes()
-        assert raw[:4] == b"\x41\x47\x54\x31"
-        assert raw[4] == 2
-        assert raw[5:13] == b"\x02\x00\x00\x00\x03\x00\x00\x00"
-        assert len(raw) == 13 + 4 * 6
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.agt1"
-        p.write_bytes(b"NOPE" + b"\x00" * 10)
-        with pytest.raises(DataError, match="byte 0"):
-            T.read_agt1(p)
-
-    def test_truncated_payload(self, tmp_path):
-        p = tmp_path / "t.agt1"
-        T.write_agt1(p, np.zeros(4))
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-3])
-        with pytest.raises(DataError, match="byte"):
-            T.read_agt1(p)
-
-    def test_dims_whose_int64_product_wraps_name_the_payload_end(self, tmp_path):
-        # (2^31, 2^31, 4) holds 2^64 values; an int64 product wraps to 0,
-        # which a header-only file would match.
-        p = tmp_path / "huge.agt1"
-        p.write_bytes(T.AGT1_MAGIC + struct.pack("<B3I", 3, 2**31, 2**31, 4))
-        assert len(p.read_bytes()) == 17
-        want = f"payload ends at byte 17, expected {17 + 4 * 2**64}$"
-        with pytest.raises(DataError, match=want):
-            T.read_agt1(p)
-
-
 class TestParamRegistry:
     def test_insertion_order_and_uniqueness(self):
         reg = T.ParamRegistry(np.float64)
@@ -1314,3 +1270,22 @@ class TestOneHomePerRule:
             if isinstance(member, ast.AnnAssign)
         }
         assert annotations == set(FIELD_TYPES)
+
+
+class TestRuntimeImports:
+    def test_package_imports_only_the_standard_library_numpy_and_itself(self):
+        # The runtime stays numpy-only: a package that happens to be installed
+        # next to numpy (scipy, say) is still not a runtime dependency.
+        # Relative imports are the package itself.
+        allowed = set(sys.stdlib_module_names) | {"numpy", "avscene"}
+        outside = set()
+        for module, tree in parsed_modules(REPO / "src" / "avscene").items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                outside |= {f"{module}: {n}" for n in names if n.split(".")[0] not in allowed}
+        assert outside == set()
