@@ -1,8 +1,4 @@
-"""Audio and image ingestion.
-
-Turns PCM16 WAV files into log-Mel spectrograms (the network's audio input)
-and PPM/PGM images into normalized channel-first tensors. Also reads the
-tab-separated manifest files that list dataset items.
+"""Audio ingestion: PCM16 WAV files to log-Mel spectrograms, the network's audio input.
 
 The log-Mel settings are fixed: ``N_MELS`` bands from an ``N_FFT``-point
 STFT every ``HOP`` samples, a 25 ms hop at 16 kHz. A 10-s 16 kHz clip
@@ -15,13 +11,11 @@ import functools
 import struct
 import wave
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, is_int
-from .pnm import read_pnm
-from .tensor import Tensor, bilinear_upsample
+from .tensor import Tensor
 
 N_MELS = 64
 N_FFT = 1024
@@ -32,7 +26,11 @@ _STFT_BLOCK_BYTES = 1 << 18  # bytes of tapered frames per block in extract_logm
 
 @dataclass
 class AudioClip:
-    """Mono waveform: a 1-D array of finite samples, nominally in [-1, 1]."""
+    """Mono waveform: a 1-D array of finite samples, nominally in [-1, 1].
+
+    Integer or float samples are stored as float64; a float64 array is kept
+    as given, not copied.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -41,7 +39,13 @@ class AudioClip:
         rate = self.sample_rate
         if not is_int(rate) or rate <= 0:
             raise ConfigurationError(f"sample rate must be a positive integer, got {rate!r}")
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        try:
+            samples = np.asarray(self.samples)
+        except ValueError as exc:  # a ragged nesting
+            raise DataError(f"audio samples do not form an array: {exc}") from exc
+        if samples.dtype.kind not in "iuf":
+            raise DataError(f"audio samples must be integers or floats, got dtype {samples.dtype}")
+        self.samples = np.asarray(samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise DataError(f"audio samples must be 1-D, got shape {self.samples.shape}")
         if self.samples.size == 0:
@@ -57,10 +61,6 @@ class LogMelSpectrogram:
     """Log-compressed mel power spectrogram, values shaped [1, T, n_mels]."""
 
     values: Tensor
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,55 +137,6 @@ def write_wav(path, clip: AudioClip) -> None:
 
 
 # ---------------------------------------------------------------------------
-# waveform shaping
-# ---------------------------------------------------------------------------
-
-
-def _sample_count(samples: float, setting: str) -> int:
-    """``round(samples)``, or ConfigurationError naming ``setting`` if no clip can have it.
-
-    A count that rounds to 0 leaves no samples. numpy cannot describe a
-    float64 array whose byte size exceeds an index, so such a count is a
-    bad setting too. A smaller count that memory cannot hold still raises
-    numpy's MemoryError.
-    """
-    if samples > np.iinfo(np.intp).max // 8:  # inf included
-        raise ConfigurationError(
-            f"{setting} asks for {samples:.3g} samples, more than a float64 array can hold"
-        )
-    if (count := int(round(samples))) == 0:
-        raise ConfigurationError(f"{setting} asks for {samples:.3g} samples, which rounds to 0")
-    return count
-
-
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resampling; identity when rates match."""
-    if not 0 < target_rate < np.inf:
-        raise ConfigurationError(f"target rate must be finite and positive, got {target_rate}")
-    if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
-    n_out = _sample_count(
-        clip.samples.size * target_rate / clip.sample_rate, f"target rate {target_rate}"
-    )
-    positions = np.arange(n_out) * (clip.sample_rate / target_rate)
-    resampled = np.interp(positions, np.arange(clip.samples.size), clip.samples)
-    return AudioClip(resampled, target_rate)
-
-
-def fix_length(clip: AudioClip, seconds: float) -> AudioClip:
-    """Truncate or zero-pad (at the end) to exactly round(seconds * rate)."""
-    if not 0 < seconds < np.inf:
-        raise ConfigurationError(f"target duration must be finite and positive, got {seconds}")
-    n = _sample_count(seconds * clip.sample_rate, f"target duration {seconds} s")
-    if clip.samples.size >= n:
-        out = clip.samples[:n].copy()
-    else:
-        out = np.zeros(n)
-        out[: clip.samples.size] = clip.samples
-    return AudioClip(out, clip.sample_rate)
-
-
-# ---------------------------------------------------------------------------
 # log-Mel extraction
 # ---------------------------------------------------------------------------
 
@@ -218,7 +169,7 @@ def mel_filterbank(sample_rate: int) -> np.ndarray:
     if np.any(sums <= 0.0):
         raise ConfigurationError(
             f"sample rate {sample_rate} Hz: a mel filter is narrower than one FFT bin;"
-            " resample the clip to 16000 Hz first (frontend.resample)"
+            " resample the clip to 16000 Hz first"
         )
     bank /= sums[:, None]
     bank.flags.writeable = False  # the cache hands this array to every caller
@@ -238,7 +189,7 @@ def extract_logmel(clip: AudioClip) -> LogMelSpectrogram:
     with reflect padding, so the frame count is 1 + floor(num_samples / HOP):
     a 10-s 16 kHz clip gives 401×64. A clip sampled at 101275 Hz or more is
     rejected, because its lowest mel filter falls between two FFT bins:
-    ``resample`` it first.
+    resample the clip to 16000 Hz first.
     """
     samples = clip.samples
     if samples.size < 2:
@@ -265,51 +216,3 @@ def extract_logmel(clip: AudioClip) -> LogMelSpectrogram:
     values = np.log(mel_power + LOG_FLOOR)[None, :, :]
     return LogMelSpectrogram(values=Tensor(values))
 
-
-# ---------------------------------------------------------------------------
-# images and manifests
-# ---------------------------------------------------------------------------
-
-
-def load_image(path, size: int | None = None) -> Tensor:
-    """Read a PPM/PGM image as Tensor[3,H,W], divided by the file's maxval into [0,1].
-
-    Grayscale images are replicated across the three channels; ``size``
-    triggers a bilinear resize to size x size.
-    """
-    if size is not None and not is_int(size):
-        raise ConfigurationError(f"image size must be an integer, got {size!r}")
-    if size is not None and size < 1:
-        raise ConfigurationError(f"image size must be >= 1, got {size}")
-    pixels, maxval = read_pnm(path)
-    if pixels.ndim == 2:
-        pixels = np.repeat(pixels[:, :, None], 3, axis=2)
-    chw = pixels.astype(np.float64).transpose(2, 0, 1) / maxval
-    if size is not None and chw.shape[1:] != (size, size):
-        chw = bilinear_upsample(Tensor(chw[None]), size, size).data[0]
-    return Tensor(chw)
-
-
-def read_manifest(path) -> list[tuple[Path, str]]:
-    """Parse `path<TAB>label` lines; relative paths resolve next to the manifest."""
-    manifest = Path(path)
-    base = manifest.parent
-    try:
-        text = manifest.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise DataError(f"{path}:{lineno}: expected `path<TAB>label`")
-        item, label = line.split("\t", 1)
-        for name, value in (("path", item), ("label", label)):
-            if not value.strip():
-                raise DataError(f"{path}:{lineno}: empty {name}")
-        item_path = Path(item)
-        if not item_path.is_absolute():
-            item_path = base / item_path
-        entries.append((item_path, label.strip()))
-    return entries

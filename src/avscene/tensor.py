@@ -3,8 +3,11 @@
 Every numeric kernel the scene classifier needs lives here: convolutions,
 activations, pooling, bilinear resampling, the fusion's gated blend, the
 classification loss, a parameter registry and a finite-difference gradient
-checker. ``add`` and ``mul`` have no caller in the package; tests build
-reference compositions from them.
+checker. Four of them have no caller in the package and serve the tests:
+``add`` and ``mul`` build reference compositions, such as ``conv2d``'s
+fused residual; ``total_sum`` reduces an output to a scalar loss to
+differentiate; and ``finite_diff_check`` checks gradients against central
+differences.
 
 A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
 bias[O] + residual)``; a residual block's last unit takes the shortcut as

@@ -1118,6 +1118,32 @@ class TestTrainEvaluations:
         accuracies = [accuracy for _, accuracy in events[::2]]
         assert [copy.test_accuracy for _, _, copy in calls] == accuracies
 
+    def test_epoch_stats_are_the_steps_lr_loss_and_accuracy(self, monkeypatch):
+        # 20 examples in batches of 8, 8 and 4: loss and accuracy weigh each
+        # batch by its length, and the lr falls tenfold every epoch.
+        dataset = synth_splits("audio", 4, 20, 0, seed=3)
+        config = ModelConfig.tiny(seed=3, epochs=3, batch_size=8, lr_decay_every=1)
+        losses, loss_ = [], M.softmax_cross_entropy
+
+        def loss_spy(logits, labels):
+            loss = loss_(logits, labels)
+            correct = int((np.argmax(logits.data, axis=1) == labels).sum())
+            losses.append((loss.item(), len(labels), correct))
+            return loss
+
+        monkeypatch.setattr(M, "softmax_cross_entropy", loss_spy)
+        lrs = count_calls(monkeypatch, SGD, "step")
+        _, report = train(config, dataset)
+        assert len(report.epochs) == 3 and len(losses) == len(lrs) == 9
+        for epoch, stats in enumerate(report.epochs):
+            steps = losses[3 * epoch : 3 * epoch + 3]
+            assert [n for _, n, _ in steps] == [8, 8, 4]
+            want_lr = lr_schedule(config, epoch)
+            assert [lr for _, lr in lrs[3 * epoch : 3 * epoch + 3]] == [want_lr] * 3
+            assert stats.lr == want_lr
+            assert stats.loss == sum(value * n for value, n, _ in steps) / 20
+            assert stats.train_accuracy == sum(correct for _, _, correct in steps) / 20
+
 
 def npy_header(shape, descr="<f4"):
     """The .npy magic and header of a C-order array, without its payload."""

@@ -1093,9 +1093,10 @@ class TestModuleSurface:
 
     def test_package_surface_without_a_package_caller_is_pinned(self):
         # A public top-level function or class that no avscene module names
-        # outside its own definition is an entry point, an input of the
-        # planned command line (wav and image loading, manifests), or test
-        # support. Anything else without a caller is dead code.
+        # outside its own definition is an entry point that perfbench or the
+        # planned command line calls (wav loading and writing, log-Mel
+        # extraction, checkpoints, synthetic splits), or test support.
+        # Anything else without a caller is dead code.
         trees = parsed_modules(REPO / "src" / "avscene")
 
         def names_outside(tree, skip):
@@ -1121,16 +1122,11 @@ class TestModuleSurface:
         }
         assert uncalled == {
             "frontend.extract_logmel",
-            "frontend.fix_length",
-            "frontend.load_image",
             "frontend.load_wav",
-            "frontend.read_manifest",
-            "frontend.resample",
             "frontend.write_wav",
             "model.load_checkpoint",
             "model.save_checkpoint",
             "model.synth_splits",
-            "pnm.write_ppm",
             "tensor.finite_diff_check",
             "tensor.mul",
             "tensor.total_sum",
@@ -1139,7 +1135,7 @@ class TestModuleSurface:
     def test_methods_without_a_caller_are_pinned(self):
         # A public method or property of an avscene class whose name no
         # avscene or perfbench module uses as an attribute has no program
-        # caller. The six below are test helpers; anything else is dead code.
+        # caller. The five below are test helpers; anything else is dead code.
         trees = parsed_modules(REPO / "src" / "avscene")
         bench = parsed_modules(REPO / "perfbench", "**/*.py")
         used = {
@@ -1159,7 +1155,6 @@ class TestModuleSurface:
             and fn.name not in used
         }
         assert uncalled == {
-            "frontend.LogMelSpectrogram.num_frames",
             "tensor.GradCheckReport.max_relative_error",
             "tensor.GradCheckReport.worst_param",
             "tensor.ParamRegistry.names",
@@ -1188,7 +1183,6 @@ class TestSettingsLedger:
     # program callers need different values, so growing this list is a
     # visible diff in review.
     LEDGER = [
-        "frontend.load_image(size)",
         "model.ModelConfig(batch_size)",
         "model.ModelConfig(disable_graph)",
         "model.ModelConfig(epochs)",
@@ -1241,8 +1235,8 @@ class TestSettingsLedger:
 class TestOneHomePerRule:
     def test_integral_is_named_only_in_is_int(self):
         # The integer rule (numbers.Integral, and a bool is none) is
-        # errors.is_int; config fields, labels, sample rates, image sizes and
-        # conv strides all call it rather than spell it again.
+        # errors.is_int; config fields, labels, sample rates and conv strides
+        # all call it rather than spell it again.
         where = {
             f"{module}.{getattr(top, 'name', '<module>')}"
             for module, tree in parsed_modules(REPO / "src" / "avscene").items()
@@ -1272,20 +1266,60 @@ class TestOneHomePerRule:
         assert annotations == set(FIELD_TYPES)
 
 
+def third_party_imports(directory):
+    """{module in directory: top-level names it imports from outside the stdlib and avscene}.
+
+    Relative imports are the package itself.
+    """
+    local = set(sys.stdlib_module_names) | {"avscene"}
+    found = {}
+    for module, tree in parsed_modules(directory).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if (top := name.split(".")[0]) not in local:
+                    found.setdefault(module, set()).add(top)
+    return found
+
+
 class TestRuntimeImports:
     def test_package_imports_only_the_standard_library_numpy_and_itself(self):
         # The runtime stays numpy-only: a package that happens to be installed
         # next to numpy (scipy, say) is still not a runtime dependency.
-        # Relative imports are the package itself.
-        allowed = set(sys.stdlib_module_names) | {"numpy", "avscene"}
-        outside = set()
-        for module, tree in parsed_modules(REPO / "src" / "avscene").items():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
-                else:
-                    continue
-                outside |= {f"{module}: {n}" for n in names if n.split(".")[0] not in allowed}
+        outside = {
+            f"{module}: {name}"
+            for module, names in third_party_imports(REPO / "src" / "avscene").items()
+            for name in names
+            if name != "numpy"
+        }
         assert outside == set()
+
+    def test_pyproject_declares_what_the_code_imports_and_nothing_else(self):
+        # No declared dependency or entry point that does not exist, and no
+        # import that a fresh install would lack. Each requirement's
+        # distribution name is compared with import names, which match for
+        # every dependency so far.
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+        def declared(requirements):
+            return {re.match(r"[A-Za-z0-9._-]+", r).group(0).lower() for r in requirements}
+
+        def imported(directory):
+            return set().union(*third_party_imports(directory).values())
+
+        runtime = declared(project["dependencies"])
+        assert runtime == imported(REPO / "src" / "avscene")
+        test = declared(project["optional-dependencies"]["test"])
+        assert imported(REPO / "tests") <= runtime | test
+        for name, target in project.get("scripts", {}).items():
+            module, _, attr = target.partition(":")
+            entry = importlib.import_module(module)
+            for part in attr.split("."):
+                entry = getattr(entry, part)
+            assert callable(entry), f"script {name}: {target} is not callable"
