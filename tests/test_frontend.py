@@ -1,6 +1,7 @@
 """Audio frontend: WAV decoding and writing, clip checks, log-Mel extraction."""
 
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,110 @@ class TestWav:
         ints = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
         assert path.read_bytes() == self.pcm16_mono(rate, ints.tobytes())
 
+    @staticmethod
+    def chunk(chunk_id, body):
+        # RIFF pads a chunk of odd size with one byte that its size leaves out.
+        return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+    @staticmethod
+    def riff(*chunks):
+        body = b"WAVE" + b"".join(chunks)
+        return b"RIFF" + struct.pack("<I", len(body)) + body
+
+    @staticmethod
+    def fmt(channels=1, rate=8000):
+        return struct.pack("<HHIIHH", 1, channels, rate, rate * 2 * channels, 2 * channels, 16)
+
+    INTS = np.array([8192, -16384, 32767, -32768], dtype="<i2")
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda t: b"", "missing RIFF tag at byte 0"),
+            (lambda t: b"RIFF" + struct.pack("<I", 4) + b"AVI ", "missing WAVE tag at byte 8"),
+            (lambda t: t.riff(t.chunk(b"data", bytes(4))), "no fmt chunk before byte 24"),
+            (lambda t: t.riff(t.chunk(b"fmt ", t.fmt())), "no data chunk before byte 36"),
+            (
+                lambda t: t.riff(t.chunk(b"fmt ", t.fmt()[:14]), t.chunk(b"data", bytes(4))),
+                "fmt chunk too short at byte 12",
+            ),
+            (
+                lambda t: t.riff() + b"fmt " + struct.pack("<I", 16) + bytes(8),
+                "chunk b'fmt ' at byte 12 runs past end of file",
+            ),
+            (
+                lambda t: t.riff(t.chunk(b"fmt ", t.fmt())) + b"data" + struct.pack("<I", 100) + bytes(4),
+                "chunk b'data' at byte 36 runs past end of file",
+            ),
+        ],
+        ids=["empty", "wave_tag", "no_fmt", "no_data", "short_fmt", "truncated_fmt", "truncated_data"],
+    )
+    def test_container_errors_name_file_and_byte(self, tmp_path, make, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(make(self))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}") + "$"):
+            fe.load_wav(path)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda t, fmt, data: t.riff(t.chunk(b"LIST", b"INFOxxxx"), fmt, data),
+            lambda t, fmt, data: t.riff(fmt, t.chunk(b"note", b"abc"), data),
+            lambda t, fmt, data: t.riff(data, fmt),
+            lambda t, fmt, data: t.riff(t.chunk(b"fmt ", t.fmt() + bytes(2)), data),
+            lambda t, fmt, data: t.riff(fmt, data, t.chunk(b"id3 ", bytes(10))),
+            lambda t, fmt, data: t.riff(fmt, data) + b"junk",
+        ],
+        ids=[
+            "chunk_before_fmt",
+            "odd_chunk_padded",
+            "data_before_fmt",
+            "fmt_extension",
+            "chunk_after_data",
+            "partial_header_at_end",
+        ],
+    )
+    def test_chunk_layouts_that_decode(self, tmp_path, make):
+        path = tmp_path / "layout.wav"
+        path.write_bytes(make(self, self.chunk(b"fmt ", self.fmt()), self.chunk(b"data", self.INTS.tobytes())))
+        clip = fe.load_wav(path)
+        assert clip.sample_rate == 8000
+        assert np.array_equal(clip.samples, self.INTS / 32768.0)
+
+    def test_int16_extremes_decode_exactly(self, tmp_path):
+        ints = np.array([-32768, -1, 0, 1, 32767], dtype="<i2")
+        path = tmp_path / "ext.wav"
+        path.write_bytes(self.pcm16_mono(8000, ints.tobytes()))
+        clip = fe.load_wav(path)
+        assert clip.samples.tolist() == [-1.0, -1 / 32768, 0.0, 1 / 32768, 32767 / 32768]
+
+    @pytest.mark.parametrize("channels, size, frames", [(1, 5, 2), (2, 6, 1)], ids=["mono", "stereo"])
+    def test_bytes_short_of_a_frame_are_dropped(self, tmp_path, channels, size, frames):
+        path = tmp_path / "odd.wav"
+        payload = np.arange(1, 4, dtype="<i2").tobytes()[:size]
+        path.write_bytes(self.riff(self.chunk(b"fmt ", self.fmt(channels)), self.chunk(b"data", payload)))
+        clip = fe.load_wav(path)
+        want = np.array([1, 2, 3][: frames * channels], dtype=np.float64).reshape(frames, channels)
+        assert np.array_equal(clip.samples, want.mean(axis=1) / 32768.0)
+
+    def test_round_trip_error_is_at_most_half_a_step(self, tmp_path):
+        samples = np.random.default_rng(3).uniform(-1.0, 32767 / 32768, 20000)
+        path = tmp_path / "rt.wav"
+        fe.write_wav(path, make_clip(samples))
+        assert np.max(np.abs(fe.load_wav(path).samples - samples)) <= 0.5 / 32768
+
+    def test_write_wav_clips_to_the_int16_range(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        fe.write_wav(path, make_clip([1.0, 2.0, -1.0, -2.0, 32767.4 / 32768]))
+        ints = np.frombuffer(path.read_bytes()[44:], dtype="<i2")
+        assert ints.tolist() == [32767, 32767, -32768, -32768, 32767]
+
+    @pytest.mark.parametrize("as_path", [str, lambda p: p], ids=["str", "Path"])
+    def test_load_wav_takes_str_or_path(self, tmp_path, as_path):
+        path = tmp_path / "p.wav"
+        path.write_bytes(self.pcm16_mono(8000, self.INTS.tobytes()))
+        assert np.array_equal(fe.load_wav(as_path(path)).samples, self.INTS / 32768.0)
+
 
 class TestAudioClip:
     @pytest.mark.parametrize(
@@ -215,6 +320,16 @@ class TestAudioClip:
         assert np.array_equal(clip.samples, samples)
         assert (clip.samples is samples) == (dtype == np.float64)  # float64 is not copied
 
+    @pytest.mark.parametrize("samples", [np.zeros(0), []], ids=["array", "list"])
+    def test_empty_samples_are_a_data_error(self, samples):
+        with pytest.raises(DataError, match="^audio clip has no samples$"):
+            fe.AudioClip(samples, 16000)
+
+    def test_list_samples_are_stored_as_float64(self):
+        clip = fe.AudioClip([0, 1, -1], 16000)
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tolist() == [0.0, 1.0, -1.0]
+
 
 class TestLogMel:
     def test_paper_input_shape(self):
@@ -250,6 +365,65 @@ class TestLogMel:
         assert bank.shape == (64, 513)
         assert np.all(bank >= 0.0)
         assert np.max(np.abs(bank.sum(axis=1) - 1.0)) < 1e-9
+
+    RATES = [8000, 16000, 22050, 44100, 48000, 96000]
+
+    @staticmethod
+    def band_edges_hz(rate):
+        # N_MELS + 2 edges evenly spaced in mel from 0 Hz to Nyquist.
+        return fe.mel_to_hz(np.linspace(0.0, fe.hz_to_mel(rate / 2), fe.N_MELS + 2))
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_filterbank_rows_are_normalized_triangles_between_their_edges(self, rate):
+        bank = fe.mel_filterbank(rate)
+        edges = self.band_edges_hz(rate)
+        bin_hz = np.arange(fe.N_FFT // 2 + 1) * rate / fe.N_FFT
+        assert bank.shape == (fe.N_MELS, fe.N_FFT // 2 + 1)
+        assert np.max(np.abs(bank.sum(axis=1) - 1.0)) < 1e-9
+        for k, row in enumerate(bank):
+            inside = (bin_hz > edges[k]) & (bin_hz < edges[k + 2])
+            assert np.all(row[~inside] == 0.0) and np.all(row[inside] >= 0.0)
+            peak = np.argmax(row)  # the bin nearest the center, on either side
+            assert abs(bin_hz[peak] - edges[k + 1]) < rate / fe.N_FFT
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_tone_at_a_wide_band_center_lands_in_that_band(self, rate):
+        # The periodic Hann window's main lobe is 4 bins wide, so a band whose
+        # slopes span under 3 bins can lose a tone at its center to a neighbour;
+        # each wider band must win its own center frequency in every frame.
+        edges = self.band_edges_hz(rate)
+        slopes = np.minimum(np.diff(edges)[:-1], np.diff(edges)[1:])
+        wide = np.flatnonzero(slopes >= 3 * rate / fe.N_FFT)
+        assert wide.size >= 36
+        t = np.arange(rate) / rate
+        for k in wide:
+            clip = make_clip(0.9 * np.sin(2 * np.pi * edges[k + 1] * t), rate=rate)
+            per_frame = np.argmax(fe.extract_logmel(clip).values.data[0], axis=1)
+            assert np.all(per_frame == k), (k, np.unique(per_frame))
+
+    @pytest.mark.parametrize("rate, accepted", [(101274, True), (101275, False)])
+    def test_highest_rate_with_a_bin_in_every_filter(self, rate, accepted):
+        if accepted:
+            assert fe.mel_filterbank(rate).shape == (fe.N_MELS, fe.N_FFT // 2 + 1)
+        else:
+            with pytest.raises(ConfigurationError, match=f"^sample rate {rate} Hz: a mel filter"):
+                fe.mel_filterbank(rate)
+
+    def test_mel_scale_anchors(self):
+        # HTK: 700 Hz is log10(2) * 2595 mel, and 0 Hz is 0 mel.
+        assert fe.hz_to_mel(0.0) == 0.0 and fe.mel_to_hz(0.0) == 0.0
+        assert fe.hz_to_mel(700.0) == pytest.approx(2595.0 * np.log10(2.0), rel=1e-15)
+        assert fe.mel_to_hz(2595.0) == pytest.approx(6300.0, rel=1e-14)
+
+    def test_mel_scale_round_trips(self):
+        hz = np.linspace(0.0, 48000.0, 4801)
+        assert np.allclose(fe.mel_to_hz(fe.hz_to_mel(hz)), hz, rtol=1e-12, atol=1e-9)
+        assert np.all(np.diff(fe.hz_to_mel(hz)) > 0.0)
+
+    def test_taper_is_a_periodic_hann(self):
+        # Periodic: the first N points of an (N + 1)-point symmetric Hann window.
+        assert np.allclose(fe._hann(fe.N_FFT), np.hanning(fe.N_FFT + 1)[:-1], rtol=0, atol=1e-15)
+        assert np.allclose(fe._hann(4), [0.0, 0.5, 1.0, 0.5], rtol=0, atol=1e-15)
 
     def test_rate_whose_lowest_filter_misses_every_bin_is_named(self):
         # At 192 kHz the 1024-point FFT's bins are 187.5 Hz apart, wider than
