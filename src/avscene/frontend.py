@@ -2,7 +2,10 @@
 
 The log-Mel settings are fixed: ``N_MELS`` bands from an ``N_FFT``-point
 STFT every ``HOP`` samples, a 25 ms hop at 16 kHz. A 10-s 16 kHz clip
-gives 401×64.
+gives 401×64. The STFT runs over blocks of frames in buffers reused from
+block to block; each block's power is re² + im², and its mel rows come from
+a banded product: each group of adjacent filters is multiplied over only the
+FFT bins it covers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ N_MELS = 64
 N_FFT = 1024
 HOP = 400
 LOG_FLOOR = 1e-10
-_STFT_BLOCK_BYTES = 1 << 18  # bytes of tapered frames per block in extract_logmel
+# Bytes of extract_logmel's tapered-frame buffer, reused for every block of
+# 32 frames; the power and mel rows of a block stay in cache between steps.
+_STFT_BLOCK_BYTES = 1 << 18
+_MEL_GROUPS = 4  # banded blocks of the mel projection; see _mel_bands
 
 
 @dataclass
@@ -78,7 +84,7 @@ def load_wav(path) -> AudioClip:
         raise DataError(f"{path}: missing WAVE tag at byte 8")
     pos = 12
     fmt = None
-    data = None
+    data_offset = None
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
@@ -93,12 +99,11 @@ def load_wav(path) -> AudioClip:
             fmt = struct.unpack_from("<HHIIHH", raw, body_start)
             fmt_offset = body_start
         elif chunk_id == b"data":
-            data = raw[body_start : body_start + chunk_size]
-            data_offset = pos
+            data_offset, data_size = pos, chunk_size
         pos = body_start + chunk_size + (chunk_size & 1)
     if fmt is None:
         raise DataError(f"{path}: no fmt chunk before byte {len(raw)}")
-    if data is None:
+    if data_offset is None:
         raise DataError(f"{path}: no data chunk before byte {len(raw)}")
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format != 1:
@@ -115,11 +120,12 @@ def load_wav(path) -> AudioClip:
         )
     if sample_rate == 0:
         raise DataError(f"{path}: sample rate 0 at byte {fmt_offset + 4}")
-    frames = len(data) // (2 * channels)
+    frames = data_size // (2 * channels)
     if frames == 0:
         raise DataError(f"{path}: data chunk at byte {data_offset} holds no sample frame")
-    ints = np.frombuffer(data, dtype="<i2", count=frames * channels)
-    samples = ints.astype(np.float64) / 32768.0
+    ints = np.frombuffer(raw, "<i2", frames * channels, data_offset + 8)
+    # One pass, and the same values as a cast then / 32768: 2**-15 is exact.
+    samples = ints * (1.0 / 32768.0)
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     return AudioClip(samples, sample_rate)
@@ -176,9 +182,38 @@ def mel_filterbank(sample_rate: int) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=16)
+def _mel_bands(sample_rate: int) -> tuple:
+    """``mel_filterbank(sample_rate)`` cut into ``_MEL_GROUPS`` banded blocks.
+
+    Each block is (filter slice, FFT-bin slice, read-only weights shaped
+    [bins, filters]): a run of adjacent filters and the bins they cover.
+    ``power[:, bins] @ weights`` gives those filters' columns of
+    ``power @ bank.T`` up to rounding, since every weight outside the block
+    is zero. A 16 kHz bank has 1001 non-zero weights; the dense product does
+    32832 multiply-adds a frame, four blocks 8512. On one x86-64 core with
+    numpy 2.4, a 32-frame block took 13 µs with four blocks, 16 and 17 µs
+    with two and eight, and 61 µs dense.
+    """
+    bank = mel_filterbank(sample_rate)
+    blocks = []
+    for filters in np.array_split(np.arange(N_MELS), _MEL_GROUPS):
+        mels = slice(filters[0], filters[-1] + 1)
+        covered = np.flatnonzero(bank[mels].any(axis=0))
+        bins = slice(covered[0], covered[-1] + 1)
+        weights = np.ascontiguousarray(bank[mels, bins].T)
+        weights.flags.writeable = False  # the cache hands this array to every caller
+        blocks.append((mels, bins, weights))
+    return tuple(blocks)
+
+
 def _hann(window: int) -> np.ndarray:
     # Periodic Hann, as used for STFT analysis.
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+
+
+_TAPER = _hann(N_FFT)
+_TAPER.flags.writeable = False
 
 
 def extract_logmel(clip: AudioClip) -> LogMelSpectrogram:
@@ -190,29 +225,41 @@ def extract_logmel(clip: AudioClip) -> LogMelSpectrogram:
     a 10-s 16 kHz clip gives 401×64. A clip sampled at 101275 Hz or more is
     rejected, because its lowest mel filter falls between two FFT bins:
     resample the clip to 16000 Hz first.
+
+    The power is re² + im² of each FFT bin, and the mel projection is a
+    banded product (``_mel_bands``) that skips the bank's zero weights. Both
+    round differently from the textbook ``ln(|rfft|² @ bankᵀ + 1e-10)``, and
+    the tests hold the two within 1e-14 absolute.
     """
     samples = clip.samples
     if samples.size < 2:
         raise DataError(
             f"clip of {samples.size} samples is too short to frame with reflection"
         )
+    bands = _mel_bands(clip.sample_rate)
     # Frame t is padded[t*HOP : t*HOP + N_FFT].
     padded = np.pad(samples, N_FFT // 2, mode="reflect")
-    taper = _hann(N_FFT)
     windows = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP]
     n_frames = windows.shape[0]
-    # Tapered frames and their spectra are made one block of rows at a time.
-    # Whole-clip arrays (3.3 MB each for a 10-s clip) pushed the heap's swing
-    # per call past the point where malloc hands the freed top back to the
-    # OS, so some processes faulted ~10 MB back in on every call and ran at
-    # two thirds of the speed of others.
-    power = np.empty((n_frames, N_FFT // 2 + 1))
+    # Tapered frames, spectra and power are made one block of rows at a time,
+    # in buffers reused across blocks, and each block's mel rows are written
+    # straight into the output. Whole-clip arrays (3.3 MB each for a 10-s
+    # clip) pushed the heap's swing per call past the point where malloc
+    # hands the freed top back to the OS, so some processes faulted ~10 MB
+    # back in on every call and ran at two thirds of the speed of others.
     rows = _STFT_BLOCK_BYTES // (8 * N_FFT)
+    frames = np.empty((rows, N_FFT))
+    power = np.empty((rows, N_FFT // 2 + 1))
+    mel = np.empty((n_frames, N_MELS))
     for first in range(0, n_frames, rows):
-        spectrum = np.fft.rfft(windows[first : first + rows] * taper, axis=1)
-        power[first : first + rows] = np.abs(spectrum) ** 2
-    bank = mel_filterbank(clip.sample_rate)
-    mel_power = power @ bank.T
-    values = np.log(mel_power + LOG_FLOOR)[None, :, :]
-    return LogMelSpectrogram(values=Tensor(values))
-
+        stop = min(first + rows, n_frames)
+        block = slice(0, stop - first)
+        np.multiply(windows[first:stop], _TAPER, out=frames[block])
+        parts = np.fft.rfft(frames[block], axis=1).view(np.float64)  # re, im, re, im, ...
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[block])
+        for mels, bins, weights in bands:
+            np.matmul(power[block, bins], weights, out=mel[first:stop, mels])
+    mel += LOG_FLOOR
+    np.log(mel, out=mel)
+    return LogMelSpectrogram(values=Tensor(mel[None]))
