@@ -133,6 +133,11 @@ def load_wav(path) -> AudioClip:
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write a mono PCM16 WAV (fixture and export helper)."""
+    # The header stores the byte rate, 2 × rate for mono PCM16, in 32 bits.
+    if clip.sample_rate > 2**31 - 1:
+        raise ConfigurationError(
+            f"sample rate {clip.sample_rate} does not fit a PCM16 WAV header (at most {2**31 - 1})"
+        )
     ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
     # wave.open takes a Path for a file object, so it gets an open file.
     with open(path, "wb") as f, wave.open(f, "wb") as out:

@@ -270,6 +270,16 @@ class TestWav:
         ints = np.frombuffer(path.read_bytes()[44:], dtype="<i2")
         assert ints.tolist() == [32767, 32767, -32768, -32768, 32767]
 
+    def test_write_wav_rejects_a_rate_the_header_cannot_hold(self, tmp_path):
+        # The byte rate of mono PCM16, 2 × rate, is a 32-bit header field.
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ConfigurationError, match=re.escape(f"sample rate {2**31} does not fit")):
+            fe.write_wav(path, make_clip(np.zeros(10), 2**31))
+        assert not path.exists()
+        fe.write_wav(path, make_clip([0.5, -0.25], 2**31 - 1))
+        clip = fe.load_wav(path)
+        assert clip.sample_rate == 2**31 - 1 and clip.samples.tolist() == [0.5, -0.25]
+
     @pytest.mark.parametrize("as_path", [str, lambda p: p], ids=["str", "Path"])
     def test_load_wav_takes_str_or_path(self, tmp_path, as_path):
         path = tmp_path / "p.wav"

@@ -902,6 +902,25 @@ class TestInputSize:
             model.forward(T.Tensor(np.zeros(shape)))
         assert backbone_runs == []
 
+    @pytest.mark.parametrize("n, bound", [(8, 8.5), (1, 2.6)], ids=["eight_clips", "one_clip"])
+    def test_ten_second_clip_batch_peak_stays_bounded(self, n, bound):
+        # conv2d builds im2col columns for a budget of whole items at a time:
+        # the traced peak of eight 10-s clips' no-grad features is 7.59 MiB,
+        # and of one clip 2.58 MiB. Columns for the whole batch at once put
+        # the eight clips at 20.63 MiB; an output made before the first
+        # chunk's columns put the one clip at 2.78 MiB.
+        model = SceneModel.build(ModelConfig.tiny(k_nodes=20))
+        x = T.Tensor(np.random.default_rng(n).standard_normal((n, 1, 401, 64)).astype(np.float32))
+        with T.no_grad():
+            model.features(x)  # fill the layout caches first
+            tracemalloc.start()
+            try:
+                model.features(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= bound * 2**20, peak / 2**20
+
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (5, 2), (17, 33)])
     def test_ablated_model_takes_any_size(self, h, w):
         model = SceneModel.build(ModelConfig.tiny(disable_graph=True))

@@ -162,10 +162,10 @@ class TestConv2d:
             T.conv2d(x, w, zero_bias(w), stride=stride)
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("shape", [(1, 1, 0, 4), (1, 1, 4, 0), (2, 1, 0, 0)])
+    @pytest.mark.parametrize("shape", [(1, 1, 0, 4), (1, 1, 4, 0), (2, 1, 0, 0), (0, 1, 4, 4)])
     def test_empty_spatial_axis_names_the_shape(self, shape, k):
         w = T.Tensor(np.zeros((1, 1, k, k)))
-        want = re.escape(f"input {shape} has an empty spatial axis")
+        want = re.escape(f"input {shape} has an empty axis")
         with pytest.raises(ConfigurationError, match=want):
             T.conv2d(T.Tensor(np.zeros(shape)), w, zero_bias(w))
 
@@ -390,6 +390,51 @@ class TestConv2dGeometry:
         gw = np.matmul(gq.reshape(1, 4, -1), cols.transpose(0, 2, 1)).sum(axis=0)
         assert np.array_equal(dscale, np.einsum("ok,ok->o", gw, w.reshape(4, -1)))
         assert np.array_equal(dw, (gw * s[:, None]).reshape(w.shape))
+
+
+class TestConv2dChunks:
+    """conv2d's forward over several chunks of items against one chunk, bit for bit."""
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2), (7, 1), (7, 2)])
+    def test_several_chunks_match_one_bit_for_bit(self, monkeypatch, k, stride):
+        rng = np.random.default_rng(k * 10 + stride)
+        x = rng.standard_normal((5, 3, 9, 8)).astype(np.float32)
+        w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+        b, s = rng.standard_normal((2, 4)).astype(np.float32)
+        layout = T._tap_layout(9, 8, k, stride)
+        g, r = rng.standard_normal((2, 5, 4, layout.ho, layout.wo)).astype(np.float32)
+        item = 3 * k * k * layout.ho * layout.wq * x.itemsize  # one item's columns
+        assert 5 * item <= T._COLUMN_BYTES  # the default budget takes the batch whole
+
+        def runs():
+            found = []
+            for scaled, relu, joined in CONV_UNIT_MODES:
+                scale, residual = (s if scaled else None), (r if joined else None)
+                with T.no_grad():
+                    untaped = T.conv2d(
+                        *(T.Tensor(a) for a in (x, w, b)), stride,
+                        None if scale is None else T.Tensor(scale), relu,
+                        None if residual is None else T.Tensor(residual),
+                    )
+                # out, dx, dw, dscale, dbias, dresidual
+                taped = conv2d_grads(x, w, g, stride, b, scale, relu, residual)
+                found.append((untaped.data,) + taped)
+            return found
+
+        want = runs()
+        chunks = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda xs, t: chunks.append(len(xs)) or im2col(xs, t))
+        for budget, sizes in ((item - 1, [1] * 5), (2 * item, [2, 2, 1])):
+            monkeypatch.setattr(T, "_COLUMN_BYTES", budget)
+            chunks.clear()
+            with T.no_grad():
+                T.conv2d(*(T.Tensor(a) for a in (x, w, b)), stride)
+            assert chunks == sizes
+            for got_mode, want_mode in zip(runs(), want):
+                for got, ref in zip(got_mode, want_mode):
+                    assert (got is None) == (ref is None)
+                    assert got is None or np.array_equal(got, ref)
 
 
 class TestBatchedMatrixApply:
