@@ -10,8 +10,9 @@ full-width network and a tiny trainable variant. Per-channel affine
 pass deterministic and batch-size independent. A conv unit's affine and ReLU
 live inside its ``conv2d`` op, and a residual block's join (shortcut sum and
 ReLU) inside the op of its last unit: each unit records one tape node, and
-no block keeps its pre-join output. ``FIELD_TYPES`` checks, stores, reads
-and writes the fields of this config and of ``model.ModelConfig``.
+no block keeps its pre-join output. ``FIELD_TYPES`` checks the fields of
+this config and of ``model.ModelConfig`` and stores each as a plain Python
+value, which is what the checkpoint's JSON manifest holds.
 """
 
 from __future__ import annotations
@@ -31,55 +32,30 @@ STEM_STRIDE = 2
 STAGE_STRIDES = (1, 2, 2, 2)  # stages 2..5
 
 
-def _parse_int(text: str) -> int:
-    """The int ``str`` writes: ASCII digits after an optional minus sign.
-
-    ``int()`` alone would also take a plus sign, spaces and underscores. The
-    minus stays, so that a negative value reaches the field's range check.
-    """
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def _is_float(value) -> bool:
     """Whether value is a real number that a float can hold; a bool is none."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and not (is_int(value) and abs(value) > sys.float_info.max)
 
 
-def _parse_float(text: str) -> float:
-    if "_" in text:  # float() takes digit-group underscores
-        raise ValueError(text)
-    return float(text)
-
-
 class FieldType(NamedTuple):
-    """How a config field of one annotation is checked, stored, read and written."""
+    """How a config field of one annotation is checked and stored."""
 
     check: Callable  # whether a value may be the field's; a bool is no number
     plain: Callable  # the plain Python value a checked value is stored as
-    parse: Callable  # config text -> value; ValueError when the text is not one
-    write: Callable  # value -> config text, which ``parse`` reads back
 
 
-# One row per field annotation (as text) of ModelConfig and BackboneConfig. The
-# backbone field is written as the backbone's own fields: its row has no text.
+# One row per field annotation (as text) of ModelConfig and BackboneConfig.
 FIELD_TYPES = {
-    "bool": FieldType(
-        lambda v: isinstance(v, bool), bool, lambda text: bool(("False", "True").index(text)), str
-    ),
-    "int": FieldType(is_int, int, _parse_int, str),
-    "float": FieldType(_is_float, float, _parse_float, str),
-    "str": FieldType(lambda v: isinstance(v, str), str, str, str),
+    "bool": FieldType(lambda v: isinstance(v, bool), bool),
+    "int": FieldType(is_int, int),
+    "float": FieldType(_is_float, float),
+    "str": FieldType(lambda v: isinstance(v, str), str),
     "list[int]": FieldType(
         lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
         lambda v: [int(i) for i in v],
-        lambda text: [_parse_int(i) for i in text.split(",")],
-        lambda v: ",".join(map(str, v)),
     ),
-    "BackboneConfig": FieldType(lambda v: isinstance(v, BackboneConfig), lambda v: v, None, None),
+    "BackboneConfig": FieldType(lambda v: isinstance(v, BackboneConfig), lambda v: v),
 }
 
 

@@ -26,19 +26,13 @@ The input is cast to the registry's dtype at the model boundary
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+import json
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import (
-    FIELD_TYPES,
-    Backbone,
-    BackboneConfig,
-    check_field_types,
-    feature_map_dims,
-    he_uniform,
-)
+from .backbone import Backbone, BackboneConfig, check_field_types, feature_map_dims, he_uniform
 from .errors import ConfigurationError, DataError, NumericError, is_int
 from .fusion import AttentionFusion
 from .gcn import gcn_layer, graph_readout
@@ -311,6 +305,13 @@ class Dataset:
     test: list
 
 
+def _check_counts(**counts) -> None:
+    """Raise ConfigurationError naming the first count that is not an integer >= 0."""
+    for name, value in counts.items():
+        if not is_int(value) or value < 0:
+            raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def synth_dataset(
     kind: str,
     classes: int,
@@ -332,6 +333,7 @@ def synth_dataset(
     distractors per example. visual: a striped texture in a class-dependent
     quadrant with class-dependent stripe frequency.
     """
+    _check_counts(classes=classes, n=n, seed=seed, height=height, width=width)
     if kind not in ("audio", "visual"):
         raise ConfigurationError(f"unknown synthetic kind {kind!r}")
     if not 2 <= classes <= 8:
@@ -447,6 +449,7 @@ def synth_splits(
     n_test: int,
     seed: int,
 ) -> Dataset:
+    _check_counts(n_train=n_train, n_test=n_test)
     return Dataset(
         train=synth_dataset(kind, classes, n_train, seed),
         test=synth_dataset(kind, classes, n_test, seed + 1),
@@ -600,81 +603,69 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints and flat config text
+# checkpoints and the JSON config manifest
 # ---------------------------------------------------------------------------
 
-CONFIG_FILENAME = "config.txt"
-
-
-# The ModelConfig fields keyed ``train.<name>`` rather than ``model.<name>``.
-TRAIN_FIELDS = (
-    "lr0", "momentum", "lr_decay_factor", "lr_decay_every", "epochs", "batch_size"
-)
-
-
-def _keyed_fields(cls):
-    """(key, field) for each field of cls except ModelConfig.backbone."""
-    for f in fields(cls):
-        if cls is BackboneConfig:
-            yield f"backbone.{f.name}", f
-        elif f.name != "backbone":
-            yield f"{'train' if f.name in TRAIN_FIELDS else 'model'}.{f.name}", f
-
-
-def config_to_flat(config: ModelConfig) -> dict:
-    """Each field of ``config`` and its backbone as text, keyed by ``_keyed_fields``."""
-    flat = {}
-    for obj in (config, config.backbone):
-        for key, f in _keyed_fields(type(obj)):
-            flat[key] = FIELD_TYPES[f.type].write(getattr(obj, f.name))
-    return flat
-
-
-def config_from_flat(flat: dict) -> ModelConfig:
-    """Inverse of ``config_to_flat``: each value is parsed by its field's type.
-
-    A missing key takes its field's dataclass default. An unknown key, a
-    missing key with no default, or a value that does not parse raises
-    ConfigurationError naming the key.
-    """
-    known = {key for cls in (ModelConfig, BackboneConfig) for key, _ in _keyed_fields(cls)}
-    for key in flat:
-        if key not in known:
-            raise ConfigurationError(f"unknown config key {key}")
-
-    def build(cls, **given):
-        for key, f in _keyed_fields(cls):
-            if key in flat:
-                try:
-                    given[f.name] = FIELD_TYPES[f.type].parse(flat[key])
-                except ValueError:
-                    bad = f"config key {key}: cannot parse {flat[key]!r} as {f.type}"
-                    raise ConfigurationError(bad) from None
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigurationError(f"missing config key {key}")
-        return cls(**given)
-
-    return build(ModelConfig, backbone=build(BackboneConfig))
-
-
-def parse_config_text(text: str) -> dict:
-    """`key = value` lines, each key once; blank lines and #-comments are skipped."""
-    flat, seen = {}, {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(f"line {lineno}: expected `key = value`")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in flat:
-            raise ConfigurationError(f"line {lineno}: {key} repeats line {seen[key]}")
-        flat[key], seen[key] = value, lineno
-    return flat
+CONFIG_FILENAME = "config.json"
 
 
 def config_to_text(config: ModelConfig) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in config_to_flat(config).items())
+    """The config as one JSON object of its fields, the backbone's nested."""
+    return json.dumps(asdict(config), indent=2) + "\n"
+
+
+class _JSONObject(dict):
+    """A decoded JSON object; ``repeated`` is its first key that occurs twice, or None.
+
+    The object hook of ``config_from_text``. The decoder calls it innermost
+    first and gives it no path, so it records the repeat, and ``_members``,
+    which knows where the object sits, names it.
+    """
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.repeated = None
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
+
+
+def _members(obj, cls, prefix: str = "") -> dict:
+    """The JSON object obj as keyword arguments of the dataclass cls.
+
+    Raises ConfigurationError naming a repeated or unknown key, or a missing
+    key without a default, as ``prefix + name``.
+    """
+    if not isinstance(obj, _JSONObject):
+        where = f"config key {prefix[:-1]}" if prefix else "config"
+        raise ConfigurationError(f"{where} must be a JSON object, got {obj!r}")
+    if obj.repeated is not None:
+        raise ConfigurationError(f"repeated config key {prefix}{obj.repeated}")
+    names = {f.name: f for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise ConfigurationError(f"unknown config key {prefix}{key}")
+    for name, f in names.items():
+        if name not in obj and f.default is MISSING:
+            raise ConfigurationError(f"missing config key {prefix}{name}")
+    return obj
+
+
+def config_from_text(text: str) -> ModelConfig:
+    """Inverse of ``config_to_text``; an absent key takes its field's default.
+
+    Raises ConfigurationError naming the line and column of text that is not
+    JSON, a key as ``_members`` does (a backbone key as ``backbone.<name>``),
+    or a value its field rejects.
+    """
+    try:
+        top = json.loads(text, object_pairs_hook=_JSONObject)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    given = _members(top, ModelConfig)
+    backbone = BackboneConfig(**_members(given["backbone"], BackboneConfig, "backbone."))
+    return ModelConfig(**{**given, "backbone": backbone})
 
 
 def save_checkpoint(model: SceneModel, directory) -> None:
@@ -703,8 +694,10 @@ def load_checkpoint(directory) -> SceneModel:
     if not manifest.is_file():
         raise DataError(f"{directory}: missing {CONFIG_FILENAME}")
     try:
-        config = config_from_flat(parse_config_text(manifest.read_text("utf-8")))
-    except (ConfigurationError, UnicodeDecodeError) as exc:
+        config = config_from_text(manifest.read_text("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # Also text that is not UTF-8, an int of over 4300 digits, or nesting
+        # deeper than the decoder's recursion limit.
         raise ConfigurationError(f"{manifest}: {exc}") from exc
     model = SceneModel.build(config)
     for name, p in model.registry.items():

@@ -210,11 +210,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gate_blend(a: Tensor, b: Tensor, gate: Tensor) -> Tensor:
-    """a·g + b·(g·−1.0 + 1.0) for maps a, b [N,C,H,W] and per-channel weights g = gate[N,C].
+    """a·g + b·(1 − g) for maps a, b [N,C,H,W] and per-channel weights g = gate[N,C].
 
-    The backward gives a G·g, b G·(g·−1.0 + 1.0) and the gate Σ_hw(G·a) +
-    Σ_hw(G·b)·−1.0: the float operations of scaling each map by its weight
-    and adding the two, so both ways of writing the blend give the same bits.
+    The backward gives a G·g, b G·(1 − g) and the gate Σ_hw(G·a) − Σ_hw(G·b):
+    the float operations of scaling each map by its weight and adding the
+    two, so both ways of writing the blend give the same bits.
     """
     if a.data.ndim != 4 or b.data.shape != a.data.shape or gate.data.shape != a.data.shape[:2]:
         raise ConfigurationError(
@@ -222,7 +222,7 @@ def gate_blend(a: Tensor, b: Tensor, gate: Tensor) -> Tensor:
             "are not [N,C,H,W], [N,C,H,W] and [N,C]"
         )
     g = gate.data[:, :, None, None]
-    rest = (gate.data * -1.0 + 1.0)[:, :, None, None]
+    rest = (1.0 - gate.data)[:, :, None, None]
     out = Tensor(a.data * g + b.data * rest)
 
     def bwd(grad):
@@ -231,7 +231,7 @@ def gate_blend(a: Tensor, b: Tensor, gate: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, grad * rest, fresh=True)
         if gate.requires_grad:
-            dgate = (grad * a.data).sum(axis=(2, 3)) + (grad * b.data).sum(axis=(2, 3)) * -1.0
+            dgate = (grad * a.data).sum(axis=(2, 3)) - (grad * b.data).sum(axis=(2, 3))
             _accumulate(gate, dgate, fresh=True)
 
     return _record(out, (a, b, gate), bwd)

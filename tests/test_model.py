@@ -1,8 +1,9 @@
-"""Whole-model checks: gradients, config text, checkpoints and determinism."""
+"""Whole-model checks: gradients, the config manifest, checkpoints and determinism."""
 
 import dataclasses
 import hashlib
 import io
+import json
 import re
 import tracemalloc
 import warnings
@@ -21,13 +22,11 @@ from avscene.model import (
     SGD,
     ModelConfig,
     SceneModel,
-    config_from_flat,
-    config_to_flat,
+    config_from_text,
     config_to_text,
     evaluate,
     load_checkpoint,
     lr_schedule,
-    parse_config_text,
     save_checkpoint,
     synth_dataset,
     synth_splits,
@@ -223,33 +222,65 @@ class TestFloat32Learning:
             assert gap < self.MAX_LOSS_GAP, (seed, gap)
 
 
-# config_to_text(ModelConfig.tiny()) as the hand-written text functions wrote
-# it, before the keys were derived from the dataclass fields.
+# config_to_text(ModelConfig.tiny()): a renamed field, a changed default or
+# another layout shows here as a diff.
 TINY_TEXT = """\
-model.num_classes = 4
-model.k_nodes = 8
-model.gcn_out_channels = 8
-model.seed = 0
-backbone.in_channels = 1
-backbone.stage_channels = 4,8,8,16,32
-backbone.blocks_per_stage = 1,1,1,1
-backbone.block_type = basic
-train.lr0 = 0.01
-train.momentum = 0.9
-train.lr_decay_factor = 10.0
-train.lr_decay_every = 20
-train.epochs = 60
-train.batch_size = 8
+{
+  "backbone": {
+    "in_channels": 1,
+    "stage_channels": [
+      4,
+      8,
+      8,
+      16,
+      32
+    ],
+    "blocks_per_stage": [
+      1,
+      1,
+      1,
+      1
+    ],
+    "block_type": "basic"
+  },
+  "num_classes": 4,
+  "k_nodes": 8,
+  "gcn_out_channels": 8,
+  "lr0": 0.01,
+  "momentum": 0.9,
+  "lr_decay_factor": 10.0,
+  "lr_decay_every": 20,
+  "epochs": 60,
+  "batch_size": 8,
+  "seed": 0,
+  "disable_graph": false
+}
 """
 
-# The keys of the fields without a default.
+# A manifest of only the fields without a default.
 REQUIRED = {
-    "model.num_classes": "4",
-    "backbone.in_channels": "1",
-    "backbone.stage_channels": "4,8,8,16,32",
-    "backbone.blocks_per_stage": "1,1,1,1",
-    "backbone.block_type": "basic",
+    "backbone": {
+        "in_channels": 1,
+        "stage_channels": [4, 8, 8, 16, 32],
+        "blocks_per_stage": [1, 1, 1, 1],
+        "block_type": "basic",
+    },
+    "num_classes": 4,
 }
+
+
+def tiny_with(path, value):
+    """ModelConfig.tiny() as a JSON object with the key at path ("a" or
+    "backbone.a") set to value, or removed when value is MISSING."""
+    obj = json.loads(config_to_text(ModelConfig.tiny()))
+    *parents, key = path.split(".")
+    inner = obj[parents[0]] if parents else obj
+    if value is dataclasses.MISSING:
+        del inner[key]
+    else:
+        inner[key] = value
+    return obj
+
 
 OFF_DEFAULT = ModelConfig(
     backbone=BackboneConfig(3, [4, 8, 12, 20, 36], [2, 1, 3, 1], "bottleneck"),
@@ -283,7 +314,7 @@ class TestConfigText:
         ids=["tiny", "full", "off_default", "numpy_scalars", "tuples"],
     )
     def test_round_trip(self, config):
-        loaded = config_from_flat(parse_config_text(config_to_text(config)))
+        loaded = config_from_text(config_to_text(config))
         assert loaded == config and repr(loaded) == repr(config)
 
     def test_off_default_case_sets_every_field_off_its_default(self):
@@ -292,71 +323,113 @@ class TestConfigText:
                 if f.default is not dataclasses.MISSING:
                     assert getattr(obj, f.name) != f.default, f.name
 
-    def test_earlier_text_keeps_its_keys_and_loads(self):
-        want = parse_config_text(TINY_TEXT)
-        want["model.disable_graph"] = "False"
-        assert config_to_flat(ModelConfig.tiny()) == want
-        assert config_from_flat(parse_config_text(TINY_TEXT)) == ModelConfig.tiny()
+    def test_tiny_text_is_pinned(self):
+        assert config_to_text(ModelConfig.tiny()) == TINY_TEXT
+        assert config_from_text(TINY_TEXT) == ModelConfig.tiny()
 
     def test_missing_keys_take_the_dataclass_defaults(self):
         backbone = BackboneConfig(1, [4, 8, 8, 16, 32], [1, 1, 1, 1], "basic")
-        assert config_from_flat(dict(REQUIRED)) == ModelConfig(backbone, num_classes=4)
-
-    @pytest.mark.parametrize("key", sorted(REQUIRED))
-    def test_missing_key_without_default_is_named(self, key):
-        flat = {k: v for k, v in REQUIRED.items() if k != key}
-        want = f"missing config key {re.escape(key)}$"
-        with pytest.raises(ConfigurationError, match=want):
-            config_from_flat(flat)
+        loaded = config_from_text(json.dumps(REQUIRED))
+        assert loaded == ModelConfig(backbone, num_classes=4)
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key", ["backbone", "num_classes", *(f"backbone.{k}" for k in REQUIRED["backbone"])]
+    )
+    def test_missing_key_without_default_is_named(self, key):
+        text = json.dumps(tiny_with(key, dataclasses.MISSING))
+        with pytest.raises(ConfigurationError, match=f"^missing config key {re.escape(key)}$"):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("key", ["k_node", "backbone.block"])
+    def test_unknown_key_is_named(self, key):
+        text = json.dumps(tiny_with(key, 8))
+        with pytest.raises(ConfigurationError, match=f"^unknown config key {re.escape(key)}$"):
+            config_from_text(text)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
         [
-            ("model.k_nodes", "8.0"),
-            ("train.lr0", "fast"),
-            ("backbone.stage_channels", "4,8,,16,32"),
-            ("model.disable_graph", "yes"),
-            ("model.disable_graph", "1"),
-            ("model.disable_graph", "true"),
-            ("model.disable_graph", ""),
-            ("train.epochs", "1_0"),
-            ("train.epochs", "+10"),
-            ("train.epochs", " 10"),
-            ("model.seed", "\u0663"),
-            ("backbone.stage_channels", "4, +8,8,1_6,32"),
-            ("backbone.stage_channels", "4,8,8,1_6,32"),
-            ("backbone.stage_channels", "4,8,8,16, 32"),
-            ("train.lr0", "0.0_1"),
+            ('"k_nodes": 8,', '"k_nodes": 8,\n  "k_nodes": 12,', "k_nodes"),
+            ('"disable_graph": false', '"disable_graph": false, "disable_graph": true', "disable_graph"),
+            ('"block_type": "basic"', '"block_type": "basic", "block_type": "basic"', "backbone.block_type"),
+            ('"in_channels": 1,', '"in_channels": 1,\n    "in_channels": 3,', "backbone.in_channels"),
+        ],
+        ids=["top", "top_equal_value", "backbone_equal_value", "backbone"],
+    )
+    def test_repeated_key_is_named(self, old, new, key):
+        assert old in TINY_TEXT
+        want = f"^repeated config key {re.escape(key)}$"
+        with pytest.raises(ConfigurationError, match=want):
+            config_from_text(TINY_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[]", "config"),
+            ('"tiny"', "config"),
+            ("null", "config"),
+            (json.dumps({**REQUIRED, "backbone": [1, [4, 8, 8, 16, 32]]}), "config key backbone"),
+            (json.dumps({**REQUIRED, "backbone": "tiny"}), "config key backbone"),
+        ],
+        ids=["array", "string", "null", "backbone_array", "backbone_string"],
+    )
+    def test_non_object_is_named(self, text, where):
+        with pytest.raises(ConfigurationError, match=f"^{where} must be a JSON object, got "):
+            config_from_text(text)
+
+    @pytest.mark.parametrize(
+        "old, new, line, column",
+        [
+            ('"epochs": 60', '"epochs": 6_0', 26, 14),
+            ('"epochs": 60', '"epochs": +60', 26, 13),
+            ('"epochs": 60', '"epochs": 060', 26, 14),
+            ('"lr0": 0.01', '"lr0": 0.0_1', 22, 13),
+            ('"lr0": 0.01', '"lr0": .01', 22, 10),
+            ('"seed": 0', '"seed": \u0663', 28, 11),
+            ('"disable_graph": false', '"disable_graph": False', 29, 20),
+            ('"block_type": "basic"', "\"block_type\": 'basic'", 17, 19),
+            ('"disable_graph": false', '"disable_graph": false,', 30, 1),
+            ('"k_nodes": 8,', '"k_nodes" 8,', 20, 13),
+            ("16,\n      32", "16,,\n      32", 8, 10),
         ],
         ids=[
-            "int", "float", "list", "bool_yes", "bool_1", "bool_lower", "bool_empty",
-            "int_underscore", "int_plus", "int_space", "int_non_ascii_digit",
-            "list_sign_and_underscore", "list_underscore", "list_space", "float_underscore",
+            "int_underscore", "int_plus", "int_leading_zero", "float_underscore",
+            "float_bare_point", "non_ascii_digit", "python_bool", "single_quotes",
+            "trailing_comma", "no_colon", "list_empty_item",
         ],
     )
-    def test_unparsable_value_names_its_key(self, key, value):
-        flat = config_to_flat(ModelConfig.tiny())
-        flat[key] = value
-        want = re.escape(f"config key {key}: cannot parse {value!r}")
+    def test_text_that_is_not_json_names_its_line_and_column(self, old, new, line, column):
+        assert old in TINY_TEXT
+        want = f"^line {line} column {column}: "
         with pytest.raises(ConfigurationError, match=want):
-            config_from_flat(flat)
+            config_from_text(TINY_TEXT.replace(old, new, 1))
 
-    def test_misspelt_key_is_named(self):
-        flat = config_to_flat(ModelConfig.tiny(k_nodes=12))
-        flat["model.k_node"] = flat.pop("model.k_nodes")
-        with pytest.raises(ConfigurationError, match="unknown config key model.k_node$"):
-            config_from_flat(flat)
-
-    def test_line_without_equals_names_its_line(self):
-        text = "# header\nmodel.num_classes = 4\n\nmodel.k_nodes 8\n"
-        with pytest.raises(ConfigurationError, match="line 4"):
-            parse_config_text(text)
-
-    def test_repeated_key_names_both_lines(self):
-        text = "model.k_nodes = 8\n# note\nmodel.num_classes = 4\nmodel.k_nodes = 12\n"
-        want = "line 4: model.k_nodes repeats line 1"
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("k_nodes", 8.0, "int"),
+            ("epochs", "10", "int"),
+            ("epochs", " 10", "int"),
+            ("seed", True, "int"),
+            ("lr0", "fast", "float"),
+            ("momentum", None, "float"),
+            ("disable_graph", "yes", "bool"),
+            ("disable_graph", 1, "bool"),
+            ("disable_graph", "true", "bool"),
+            ("disable_graph", "", "bool"),
+            ("backbone.stage_channels", [4, 8, None, 16, 32], "list[int]"),
+            ("backbone.stage_channels", [4, 8, 8, 16.0, 32], "list[int]"),
+            ("backbone.stage_channels", "4,8,8,16,32", "list[int]"),
+            ("backbone.blocks_per_stage", {"a": 1}, "list[int]"),
+            ("backbone.block_type", ["basic"], "str"),
+        ],
+    )
+    def test_value_of_another_type_names_the_field_and_value(self, key, value, kind):
+        text = json.dumps(tiny_with(key, value))
+        field = key.split(".")[-1]
+        want = re.escape(f"{field} must be {kind}, got {value!r}") + "$"
         with pytest.raises(ConfigurationError, match=want):
-            parse_config_text(text)
+            config_from_text(text)
 
 
 # The registered names of SceneModel.build(ModelConfig.tiny()), in order. They
@@ -455,15 +528,14 @@ class TestModelConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("model.gcn_layers", "1"), ("model.allow_any_k", "False"), ("model.modality", "audio")],
+        [("gcn_layers", 1), ("allow_any_k", False), ("modality", "audio")],
     )
     def test_key_of_a_removed_field_is_unknown(self, key, value):
         # Only manifests of the earlier tensor format carry these keys, and
         # that format no longer loads.
-        flat = config_to_flat(ModelConfig.tiny(k_nodes=12))
-        flat[key] = value
-        with pytest.raises(ConfigurationError, match=f"unknown config key {key}$"):
-            config_from_flat(flat)
+        text = json.dumps(tiny_with(key, value))
+        with pytest.raises(ConfigurationError, match=f"^unknown config key {key}$"):
+            config_from_text(text)
 
     @pytest.mark.parametrize("batch_size", [-1, 0])
     def test_non_positive_batch_size_names_the_value(self, batch_size):
@@ -943,6 +1015,36 @@ class TestSynthDataset:
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             synth_dataset(kind, 4, 1, seed=0, height=height, width=width)
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (lambda: synth_dataset("audio", 4, -1, seed=0), "n", -1),
+            (lambda: synth_dataset("audio", 4, True, seed=0), "n", True),
+            (lambda: synth_dataset("audio", 4, 2.5, seed=0), "n", 2.5),
+            (lambda: synth_dataset("audio", 4.0, 2, seed=0), "classes", 4.0),
+            (lambda: synth_dataset("audio", 4, 2, seed=-1), "seed", -1),
+            (lambda: synth_dataset("audio", 4, 2, seed=1.5), "seed", 1.5),
+            (lambda: synth_dataset("audio", 4, 2, seed=0, height=64.0), "height", 64.0),
+            (lambda: synth_dataset("visual", 4, 2, seed=0, width=33.5), "width", 33.5),
+            (lambda: synth_splits("audio", 4, 8, -3, seed=0), "n_test", -3),
+            (lambda: synth_splits("audio", 4, -1, 8, seed=0), "n_train", -1),
+            (lambda: synth_splits("audio", 4, 8, 8, seed=1.5), "seed", 1.5),
+        ],
+        ids=[
+            "n_negative", "n_bool", "n_fraction", "classes_float", "seed_negative",
+            "seed_fraction", "height_float", "width_fraction", "splits_n_test_negative",
+            "splits_n_train_negative", "splits_seed_fraction",
+        ],
+    )
+    def test_bad_count_names_the_parameter_and_value(self, make, name, value):
+        want = re.escape(f"{name} must be a non-negative integer, got {value!r}") + "$"
+        with pytest.raises(ConfigurationError, match=f"^{want}"):
+            make()
+
+    def test_no_examples_is_an_empty_split(self):
+        assert synth_dataset("audio", 4, 0, seed=0) == []
+        assert synth_splits("visual", 4, 2, 0, seed=0).test == []
+
     @pytest.mark.parametrize("kind, size", [("audio", (64, 32)), ("visual", (128, 128))])
     def test_benchmark_sizes_pass(self, kind, size):
         (example,) = synth_dataset(kind, 4, 1, seed=0, height=size[0], width=size[1])
@@ -1224,9 +1326,9 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path)
         names = model.registry.names()
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
-            ["config.txt", *(f"{name}.npy" for name in names)]
+            ["config.json", *(f"{name}.npy" for name in names)]
         )
-        assert (tmp_path / "config.txt").read_bytes() == config_to_text(model.config).encode()
+        assert (tmp_path / "config.json").read_bytes() == config_to_text(model.config).encode()
         for name, p in model.registry.items():
             stored = np.load(tmp_path / f"{name}.npy")
             assert stored.dtype == np.dtype("<f4") and stored.shape == p.data.shape, name
@@ -1282,42 +1384,89 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**24
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            b"model.k_nodes = 8.0\n",
-            b"model.k_nodes = 8\nmodel.k_nodes = 8\n",
-            b"model.k_nodes = 6\n",
-            b"model.k_nodes = \xff\n",
-            b"model.k_node = 8\n",
-        ],
-        ids=["unparsable", "repeated", "invalid", "not_utf8", "misspelt"],
-    )
-    def test_broken_manifest_names_the_file(self, tmp_path, line):
+    # How each case rewrites the manifest's bytes, and what the error says
+    # after the manifest's name.
+    BROKEN = {
+        "unparsable": (
+            lambda raw: raw.replace(b'"k_nodes": 8,', b'"k_nodes": 8.,'),
+            "line 20 column 15: Expecting ',' delimiter",
+        ),
+        "repeated": (
+            lambda raw: raw.replace(b'"k_nodes": 8,', b'"k_nodes": 8,\n  "k_nodes": 8,'),
+            "repeated config key k_nodes",
+        ),
+        "invalid": (
+            lambda raw: raw.replace(b'"k_nodes": 8,', b'"k_nodes": 6,'),
+            "k_nodes must be a positive multiple of 4, got 6",
+        ),
+        "not_utf8": (
+            lambda raw: raw.replace(b'"k_nodes": 8,', b'"k_nodes": \xff,'),
+            "'utf-8' codec can't decode byte 0xff",
+        ),
+        "misspelt": (
+            lambda raw: raw.replace(b'"k_nodes": 8,', b'"k_node": 8,'),
+            "unknown config key k_node",
+        ),
+        "backbone_unknown": (
+            lambda raw: raw.replace(b'"block_type": "basic"', b'"block_type": "basic", "depth": 4'),
+            "unknown config key backbone.depth",
+        ),
+        "backbone_missing": (
+            lambda raw: raw.replace(b'    "in_channels": 1,\n', b""),
+            "missing config key backbone.in_channels",
+        ),
+        "backbone_repeated": (
+            lambda raw: raw.replace(b'"in_channels": 1,', b'"in_channels": 1, "in_channels": 1,'),
+            "repeated config key backbone.in_channels",
+        ),
+        "not_an_object": (lambda raw: b"[" + raw + b"]", "config must be a JSON object, got ["),
+        "backbone_not_an_object": (
+            lambda raw: json.dumps({**json.loads(raw), "backbone": 1}).encode(),
+            "config key backbone must be a JSON object, got 1",
+        ),
+        "too_deep": (lambda raw: b"[" * 100_000, "maximum recursion depth exceeded"),
+        "int_too_long": (
+            lambda raw: raw.replace(b'"seed": 3', b'"seed": ' + b"9" * 5000),
+            "Exceeds the limit (4300 digits)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BROKEN))
+    def test_broken_manifest_names_the_file(self, tmp_path, case):
         save_checkpoint(self.randomized_model(), tmp_path)
-        manifest = tmp_path / "config.txt"
-        text = manifest.read_bytes()
-        assert b"model.k_nodes = 8\n" in text
-        manifest.write_bytes(text.replace(b"model.k_nodes = 8\n", line))
-        with pytest.raises(ConfigurationError, match=re.escape(f"{manifest}: ")):
+        manifest = tmp_path / "config.json"
+        rewrite, message = self.BROKEN[case]
+        raw = manifest.read_bytes()
+        broken = rewrite(raw)
+        assert broken != raw
+        manifest.write_bytes(broken)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{manifest}: {message}')}"):
             load_checkpoint(tmp_path)
 
-    def test_non_finite_lr0_names_the_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spelling, value", [("NaN", "nan"), ("Infinity", "inf"), ("1e999", "inf")]
+    )
+    @pytest.mark.parametrize(
+        "field, written", [("lr0", "0.01"), ("momentum", "0.9"), ("lr_decay_factor", "10.0")]
+    )
+    def test_non_finite_float_names_the_field_and_the_file(
+        self, tmp_path, field, written, spelling, value
+    ):
         save_checkpoint(self.randomized_model(), tmp_path)
-        manifest = tmp_path / "config.txt"
+        manifest = tmp_path / "config.json"
         text = manifest.read_text()
-        assert "train.lr0 = 0.01\n" in text
-        manifest.write_text(text.replace("train.lr0 = 0.01\n", "train.lr0 = nan\n"))
-        want = re.escape(f"{manifest}: lr0 must be finite and positive, got nan")
+        assert f'"{field}": {written},' in text
+        manifest.write_text(text.replace(f'"{field}": {written},', f'"{field}": {spelling},'))
+        want = f"^{re.escape(f'{manifest}: {field} must be ')}.*got {value}$"
         with pytest.raises(ConfigurationError, match=want):
             load_checkpoint(tmp_path)
 
     def test_negative_seed_names_the_file(self, tmp_path):
         save_checkpoint(self.randomized_model(), tmp_path)
-        manifest = tmp_path / "config.txt"
+        manifest = tmp_path / "config.json"
         text = manifest.read_text()
-        assert "model.seed = 3\n" in text
-        manifest.write_text(text.replace("model.seed = 3\n", "model.seed = -1\n"))
+        assert '"seed": 3,' in text
+        manifest.write_text(text.replace('"seed": 3,', '"seed": -1,'))
         want = re.escape(f"{manifest}: seed must be non-negative, got -1")
         with pytest.raises(ConfigurationError, match=want):
             load_checkpoint(tmp_path)
@@ -1338,7 +1487,7 @@ class TestCheckpoint:
         model = self.randomized_model(config)
         x = T.Tensor(np.random.default_rng(5).standard_normal((2, 1, 64, 32)))
         save_checkpoint(model, tmp_path)
-        assert "model.disable_graph = True\n" in (tmp_path / "config.txt").read_text()
+        assert '"disable_graph": true\n' in (tmp_path / "config.json").read_text()
         fusions = count_calls(monkeypatch, AttentionFusion, "forward")
         loaded = load_checkpoint(tmp_path)
         assert loaded.config == config and loaded.config.disable_graph

@@ -1294,9 +1294,9 @@ class TestOneHomePerRule:
         assert where == {"errors.is_int"}
 
     def test_every_config_annotation_has_one_field_type_row(self):
-        # A config field's check, stored value, parser and writer are its
-        # annotation's row of backbone.FIELD_TYPES, so a new field type is one
-        # new row, and a row that no field uses is dead code.
+        # A config field's check and stored value are its annotation's row
+        # of backbone.FIELD_TYPES, so a new field type is one new row, and a
+        # row that no field uses is dead code.
         from avscene.backbone import FIELD_TYPES
 
         trees = parsed_modules(REPO / "src" / "avscene")
