@@ -5,14 +5,16 @@ then three stride-2 stages. ``conv2d`` owns the padding rule: it pads each
 kernel (1, 3 or 7) by ``kernel // 2``, so a stride-s conv maps n cells to
 ceil(n / s), and any input of at least 1x1 runs (``feature_map_dims``).
 Channel widths and depth are configurable so the same code serves both the
-full-width network and a tiny trainable variant. Per-channel affine
-(scale/shift) parameters stand in for batch statistics, keeping the forward
-pass deterministic and batch-size independent. A conv unit's affine and ReLU
-live inside its ``conv2d`` op, and a residual block's join (shortcut sum and
-ReLU) inside the op of its last unit: each unit records one tape node, and
-no block keeps its pre-join output. ``FIELD_TYPES`` checks the fields of
-this config and of ``model.ModelConfig`` and stores each as a plain Python
-value, which is what the checkpoint's JSON manifest holds.
+full-width network and a tiny trainable variant. No batch statistics are
+kept, so the forward pass is deterministic and batch-size independent. A
+conv unit has a weight and a per-channel bias (``shift``) and no scale:
+without normalization, a per-channel scale on ``w ⋆ x`` equals a scaled
+weight. Its bias and ReLU live inside its ``conv2d`` op, and a residual
+block's join (shortcut sum and ReLU) inside the op of its last unit: each
+unit records one tape node, and no block keeps its pre-join output.
+``FIELD_TYPES`` checks the fields of this config and of
+``model.ModelConfig`` and stores each as a plain Python value, which is
+what the checkpoint's JSON manifest holds.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class ConvUnit:
-    """Convolution, learnable per-channel affine and optional ReLU, as one ``conv2d`` op."""
+    """Convolution, learnable per-channel bias and optional ReLU, as one ``conv2d`` op."""
 
     def __init__(self, registry, rng, name, c_in, c_out, kernel, stride, relu):
         self.stride = stride
@@ -144,17 +146,14 @@ class ConvUnit:
             f"{name}.weight",
             he_uniform(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel),
         )
-        self.scale = registry.register(f"{name}.scale", np.ones(c_out))
         self.shift = registry.register(f"{name}.shift", np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.shift, self.stride, self.scale, self.relu)
+        return conv2d(x, self.weight, self.shift, self.stride, self.relu)
 
     def join(self, x: Tensor, shortcut: Tensor) -> Tensor:
         """relu(unit(x) + shortcut): a residual block's last unit and its join, as one op."""
-        return conv2d(
-            x, self.weight, self.shift, self.stride, self.scale, relu=True, residual=shortcut
-        )
+        return conv2d(x, self.weight, self.shift, self.stride, relu=True, residual=shortcut)
 
 
 class ResidualBlock:

@@ -657,14 +657,19 @@ def config_from_text(text: str) -> ModelConfig:
 
     Raises ConfigurationError naming the line and column of text that is not
     JSON, a key as ``_members`` does (a backbone key as ``backbone.<name>``),
-    or a value its field rejects.
+    or a value its field rejects (a backbone value after ``config key
+    backbone: ``).
     """
     try:
         top = json.loads(text, object_pairs_hook=_JSONObject)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     given = _members(top, ModelConfig)
-    backbone = BackboneConfig(**_members(given["backbone"], BackboneConfig, "backbone."))
+    members = _members(given["backbone"], BackboneConfig, "backbone.")
+    try:
+        backbone = BackboneConfig(**members)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key backbone: {exc}") from None
     return ModelConfig(**{**given, "backbone": backbone})
 
 
@@ -687,7 +692,9 @@ def load_checkpoint(directory) -> SceneModel:
     of a model constructed on a float64 registry come back as the nearest
     f32, within a relative 2**-24. A tensor file that is missing, is not a
     whole ``.npy`` file of little-endian float32, or holds the wrong shape or
-    a non-finite value raises DataError naming the file.
+    a non-finite value raises DataError naming the file, and so does a
+    ``.npy`` file that no registered name owns: a model without that tensor
+    would compute another function than the one saved.
     """
     directory = Path(directory)
     manifest = directory / CONFIG_FILENAME
@@ -700,6 +707,10 @@ def load_checkpoint(directory) -> SceneModel:
         # deeper than the decoder's recursion limit.
         raise ConfigurationError(f"{manifest}: {exc}") from exc
     model = SceneModel.build(config)
+    owned = {f"{name}.npy" for name in model.registry.names()}
+    stray = sorted(f.name for f in directory.glob("*.npy") if f.name not in owned)
+    if stray:
+        raise DataError(f"{directory / stray[0]}: no tensor of this model has that name")
     for name, p in model.registry.items():
         path = directory / f"{name}.npy"
         if not path.is_file():

@@ -9,8 +9,8 @@ fused residual; ``total_sum`` reduces an output to a scalar loss to
 differentiate; and ``finite_diff_check`` checks gradients against central
 differences.
 
-A backbone conv unit is one op, ``conv2d`` = ``relu?(scale[O] * (w ⋆ x) +
-bias[O] + residual)``; a residual block's last unit takes the shortcut as
+A backbone conv unit is one op, ``conv2d`` = ``relu?((w ⋆ x) + bias[O] +
+residual)``; a residual block's last unit takes the shortcut as
 ``residual``, so the join is part of that op. It works in place only on the
 fresh output it allocates, never on its inputs, and its tape keeps no im2col
 columns: the backward builds them again from ``x``. The forward builds and
@@ -502,11 +502,10 @@ def conv2d(
     w: Tensor,
     bias: Tensor,
     stride: int = 1,
-    scale: Tensor | None = None,
     relu: bool = False,
     residual: Tensor | None = None,
 ) -> Tensor:
-    """Conv unit relu?(scale[O] * (w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,k,k].
+    """Conv unit relu?((w ⋆ x) + bias[O] + residual) for x[N,C,H,W], w[O,C,k,k].
 
     ``w ⋆ x`` is the 2-D cross-correlation of x zero-padded by k // 2, for an
     odd k and a stride s of 1 or 2, so the output and ``residual`` are
@@ -516,7 +515,7 @@ def conv2d(
     ``_COLUMN_BYTES``, and at least one. Each item is its own product, so
     the output does not depend on how the batch is chunked.
 
-    The affine, the residual sum and the ReLU run in place, in that order, on
+    The bias, the residual sum and the ReLU run in place, in that order, on
     the matrix product's fresh output, so the tape keeps only that output:
     the backward masks by ``out > 0``, hands the masked gradient to
     ``residual`` and builds the columns again from ``x``.
@@ -536,9 +535,8 @@ def conv2d(
         raise ConfigurationError(f"conv2d: stride must be 1 or 2, got {stride!r}")
     if 0 in xn.shape:
         raise ConfigurationError(f"conv2d: input {xn.shape} has an empty axis")
-    for name, t in (("scale", scale), ("bias", bias)):
-        if t is not None and t.data.shape != (o,):
-            raise ConfigurationError(f"conv2d: {name} shape {t.data.shape} != ({o},)")
+    if bias.data.shape != (o,):
+        raise ConfigurationError(f"conv2d: bias shape {bias.data.shape} != ({o},)")
     layout = _tap_layout(h, wd, k, stride)
     ho, wo, wq = layout.ho, layout.wo, layout.wq
     if residual is not None and residual.data.shape != (n, o, ho, wo):
@@ -560,8 +558,6 @@ def conv2d(
         del yq  # freed before the next chunk's columns are made
     # Fresh [N,O,ho*wo] without the extra columns: the in-place steps below own it.
     y = y.reshape(n, o, ho * wo)
-    if scale is not None:
-        y *= scale.data.reshape(1, o, 1)
     y += bias.data.reshape(1, o, 1)
     if residual is not None:
         y += residual.data.reshape(n, o, ho * wo)
@@ -581,8 +577,7 @@ def conv2d(
             gq = gq.reshape(n, o, ho * wq)
         else:
             gq = g2
-        scaled = scale is not None
-        if w.requires_grad or (scaled and scale.requires_grad):
+        if w.requires_grad:
             # The whole batch's columns: building them per chunk, with the
             # weight gradient summed in item order, left tiny_train's peak RSS
             # at 47.0-47.2 MB against 47.3-47.4 MB with the forward chunked
@@ -592,20 +587,13 @@ def conv2d(
             # One item's product is the whole gradient: a sum over it would only copy it.
             gw = gw[0] if n == 1 else gw.sum(axis=0)
             del cols  # freed before the input gradient's buffers are made
-            if scaled and scale.requires_grad:
-                _accumulate(scale, np.einsum("ok,ok->o", gw, w2), fresh=True)
-            if w.requires_grad:
-                if scaled:
-                    gw *= scale.data[:, None]
-                _accumulate(w, gw.reshape(wn.shape), fresh=True)
+            _accumulate(w, gw.reshape(wn.shape), fresh=True)
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 2)), fresh=True)
         if x.requires_grad:
-            if scaled:
-                gq = gq * scale.data.reshape(1, o, 1)
             _accumulate(x, _col2im(np.matmul(w2.T, gq), xn.shape, layout), fresh=True)
 
-    parents = (x, w) + tuple(t for t in (scale, bias, residual) if t is not None)
+    parents = (x, w, bias) + ((residual,) if residual is not None else ())
     return _record(out, parents, bwd)
 
 

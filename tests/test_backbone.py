@@ -26,12 +26,12 @@ def count_params_basic(in_channels, channels, blocks):
     """Closed-form parameter count for the basic-block backbone.
 
     Derived by hand from the layer plan: every conv carries
-    c_out*c_in*k*k weights plus 2*c_out affine scalars; the first block of a
+    c_out*c_in*k*k weights plus c_out bias scalars; the first block of a
     stage projects whenever channels or stride change (stages 3-5 stride 2,
     stage 2 stride 1).
     """
     def conv(c_in, c_out, k):
-        return c_out * c_in * k * k + 2 * c_out
+        return c_out * c_in * k * k + c_out
 
     total = conv(in_channels, channels[0], 7)
     c_in = channels[0]

@@ -22,11 +22,10 @@ from avscene import tensor as T
 from avscene.errors import ConfigurationError, DataError
 
 
-def naive_conv2d(x, w, bias=None, stride=1, padding=0, scale=None, relu=False, residual=None):
+def naive_conv2d(x, w, bias=None, stride=1, padding=0, relu=False, residual=None):
     """Six-loop reference conv unit, independent of the im2col path.
 
-    Computes relu?(scale[O] * (w ⋆ x) + bias[O] + residual) one output scalar
-    at a time.
+    Computes relu?((w ⋆ x) + bias[O] + residual) one output scalar at a time.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -47,8 +46,6 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=0, scale=None, relu=False, r
                                     * w[oi, ci, i, j]
                                 )
                     out[ni, oi, yi, xi] = acc
-            if scale is not None:
-                out[ni, oi] *= scale[oi]
             if bias is not None:
                 out[ni, oi] += bias[oi]
     if residual is not None:
@@ -56,27 +53,21 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=0, scale=None, relu=False, r
     return np.maximum(out, 0.0) if relu else out
 
 
-def naive_conv2d_grads(
-    x, w, g, stride=1, padding=0, bias=None, scale=None, relu=False, residual=None
-):
-    """Loop reference for the conv unit's backward: (dx, dw, dscale, dbias, dresidual).
+def naive_conv2d_grads(x, w, g, stride=1, padding=0, bias=None, relu=False, residual=None):
+    """Loop reference for the conv unit's backward: (dx, dw, dbias, dresidual).
 
     With the ReLU, g is first zeroed where the pre-activation is not
     positive; that masked g is the residual's gradient. Every output position
-    then scatters g times scale times its input window into dw and g times
-    scale times the kernel into dx, and adds g times its raw window product
-    to dscale, with no im2col and no matrix product. Without ``scale``,
-    dscale is the gradient a unit scale would get.
+    then scatters g times its input window into dw and g times the kernel
+    into dx, with no im2col and no matrix product.
     """
     n, _, h, wd = x.shape
     o, _, kh, kw = w.shape
     if relu:
-        g = g * (naive_conv2d(x, w, bias, stride, padding, scale, residual=residual) > 0.0)
-    s = np.ones(o) if scale is None else scale
+        g = g * (naive_conv2d(x, w, bias, stride, padding, residual=residual) > 0.0)
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
-    ds = np.zeros(o)
     db = np.zeros(o)
     for ni in range(n):
         for oi in range(o):
@@ -85,11 +76,10 @@ def naive_conv2d_grads(
                     ys, xs = yi * stride, xi * stride
                     gv = g[ni, oi, yi, xi]
                     window = xp[ni, :, ys : ys + kh, xs : xs + kw]
-                    dw[oi] += gv * s[oi] * window
-                    dxp[ni, :, ys : ys + kh, xs : xs + kw] += gv * s[oi] * w[oi]
-                    ds[oi] += gv * np.sum(window * w[oi])
+                    dw[oi] += gv * window
+                    dxp[ni, :, ys : ys + kh, xs : xs + kw] += gv * w[oi]
                     db[oi] += gv
-    return dxp[:, :, padding : padding + h, padding : padding + wd], dw, ds, db, g
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw, db, g
 
 
 def zero_bias(w):
@@ -169,13 +159,12 @@ class TestConv2d:
         with pytest.raises(ConfigurationError, match=want):
             T.conv2d(T.Tensor(np.zeros(shape)), w, zero_bias(w))
 
-    @pytest.mark.parametrize("name", ["scale", "bias"])
     @pytest.mark.parametrize("shape", [(3,), (2, 1)])
-    def test_channel_vector_shape_names_it(self, name, shape):
+    def test_channel_vector_shape_names_it(self, shape):
         x = T.Tensor(np.zeros((1, 1, 4, 4)))
         w = T.Tensor(np.zeros((2, 1, 3, 3)))
-        with pytest.raises(ConfigurationError, match=f"{name} shape"):
-            T.conv2d(x, w, **{"bias": zero_bias(w), name: T.Tensor(np.zeros(shape))})
+        with pytest.raises(ConfigurationError, match=re.escape(f"bias shape {shape} != (2,)")):
+            T.conv2d(x, w, T.Tensor(np.zeros(shape)))
 
     def test_residual_shape_names_it(self):
         x = T.Tensor(np.zeros((1, 1, 4, 4)))
@@ -193,16 +182,16 @@ class TestConv2d:
         assert np.array_equal(one, two)
 
 
-def conv2d_grads(x, w, g, stride, bias, scale=None, relu=False, residual=None):
-    """(out, dx, dw, dscale, dbias, dresidual) from conv2d's forward and taped backward.
+def conv2d_grads(x, w, g, stride, bias, relu=False, residual=None):
+    """(out, dx, dw, dbias, dresidual) from conv2d's forward and taped backward.
 
-    dscale and dresidual are None when the unit has no scale or residual.
+    dresidual is None when the unit has no residual.
     """
     xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, bias))
-    st, rt = (None if a is None else T.Tensor(a, requires_grad=True) for a in (scale, residual))
-    out = T.conv2d(xt, wt, bt, stride=stride, scale=st, relu=relu, residual=rt)
+    rt = None if residual is None else T.Tensor(residual, requires_grad=True)
+    out = T.conv2d(xt, wt, bt, stride=stride, relu=relu, residual=rt)
     T.total_sum(T.mul(out, T.Tensor(g))).backward()
-    grads = tuple(None if t is None else t.grad for t in (xt, wt, st, bt, rt))
+    grads = tuple(None if t is None else t.grad for t in (xt, wt, bt, rt))
     return (out.data,) + grads
 
 
@@ -211,13 +200,12 @@ def assert_rel_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
-# (scaled, relu, joined): bias only, the backbone's proj unit, its inner units,
-# and a block's last unit with the residual join
+# (relu, joined): the backbone's proj unit, its inner units, and a block's
+# last unit with the residual join
 CONV_UNIT_MODES = (
-    (False, False, False),
-    (True, False, False),
-    (True, True, False),
-    (True, True, True),
+    (False, False),
+    (True, False),
+    (True, True),
 )
 # The odd kernels conv2d takes, up to the stem's 7.
 CONV_KERNELS = (1, 3, 5, 7)
@@ -270,20 +258,18 @@ class TestConv2dBackward:
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((o, c, k, k))
         b = rng.standard_normal(o)
-        s = rng.standard_normal(o)
-        pre = naive_conv2d(x, w, b, stride, pad, scale=s)
+        pre = naive_conv2d(x, w, b, stride, pad)
         assert np.all(pre != 0.0)  # no pre-activation on the ReLU's kink
         g = rng.standard_normal(pre.shape)
         r = rng.standard_normal(pre.shape)
-        for scaled, relu, joined in CONV_UNIT_MODES:
-            scale = s if scaled else None
+        for relu, joined in CONV_UNIT_MODES:
             residual = r if joined else None
-            got = conv2d_grads(x, w, g, stride, b, scale, relu, residual)
+            got = conv2d_grads(x, w, g, stride, b, relu, residual)
             want = (
-                naive_conv2d(x, w, b, stride, pad, scale, relu, residual),
-            ) + naive_conv2d_grads(x, w, g, stride, pad, b, scale, relu, residual)
-            # out, dx, dw, dscale, dbias, dresidual
-            present = (True, True, True, scaled, True, joined)
+                naive_conv2d(x, w, b, stride, pad, relu, residual),
+            ) + naive_conv2d_grads(x, w, g, stride, pad, b, relu, residual)
+            # out, dx, dw, dbias, dresidual
+            present = (True, True, True, True, joined)
             for has, gv, wv in zip(present, got, want):
                 if has:
                     assert gv is not None
@@ -342,15 +328,15 @@ class TestConv2dGeometry:
         assert not read.all()
         x = rng.standard_normal((2, 2, h, wd)).astype(dtype)
         w = rng.standard_normal((3, 2, k, k)).astype(dtype)
-        b, s = rng.standard_normal((2, 3)).astype(dtype)
+        b = rng.standard_normal(3).astype(dtype)
         ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
         g, r = rng.standard_normal((2, 2, 3, ho, wo)).astype(dtype)
         runs = []
         for fill in (np.nan, 0.0):
             xf = x.copy()
             xf[:, :, ~read] = fill
-            runs.append(conv2d_grads(xf, w, g, stride, b, s, True, r))
-        # out, dx, dw, dscale, dbias, dresidual
+            runs.append(conv2d_grads(xf, w, g, stride, b, True, r))
+        # out, dx, dw, dbias, dresidual
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
         assert np.all(runs[0][1][:, :, ~read] == 0.0)
@@ -373,23 +359,22 @@ class TestConv2dGeometry:
     )
     def test_one_item_weight_gradients_are_the_batch_sum_bit_for_bit(self, k, stride, pad, h, wd):
         # With one item the backward hands over its product uncopied; that
-        # must equal the sum over a batch of one, scale gradient included.
+        # must equal the sum over a batch of one.
         rng = np.random.default_rng(k * 100 + stride * 10 + pad)
         x = rng.standard_normal((1, 3, h, wd)).astype(np.float32)
         w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
-        b, s = rng.standard_normal((2, 4)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
         layout = T._tap_layout(h, wd, k, stride)
         # pad is the padding conv2d applies, k // 2.
         assert layout.ho == (h + 2 * pad - k) // stride + 1
         assert layout.wo == (wd + 2 * pad - k) // stride + 1
         g = rng.standard_normal((1, 4, layout.ho, layout.wo)).astype(np.float32)
-        _, _, dw, dscale, _, _ = conv2d_grads(x, w, g, stride, b, s)
+        _, _, dw, _, _ = conv2d_grads(x, w, g, stride, b)
         gq = np.zeros((1, 4, layout.ho, layout.wq), dtype=np.float32)
         gq[..., : layout.wo] = g
         cols = T._im2col(x, layout)
         gw = np.matmul(gq.reshape(1, 4, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-        assert np.array_equal(dscale, np.einsum("ok,ok->o", gw, w.reshape(4, -1)))
-        assert np.array_equal(dw, (gw * s[:, None]).reshape(w.shape))
+        assert np.array_equal(dw, gw.reshape(w.shape))
 
 
 class TestConv2dChunks:
@@ -400,7 +385,7 @@ class TestConv2dChunks:
         rng = np.random.default_rng(k * 10 + stride)
         x = rng.standard_normal((5, 3, 9, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
-        b, s = rng.standard_normal((2, 4)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
         layout = T._tap_layout(9, 8, k, stride)
         g, r = rng.standard_normal((2, 5, 4, layout.ho, layout.wo)).astype(np.float32)
         item = 3 * k * k * layout.ho * layout.wq * x.itemsize  # one item's columns
@@ -408,16 +393,15 @@ class TestConv2dChunks:
 
         def runs():
             found = []
-            for scaled, relu, joined in CONV_UNIT_MODES:
-                scale, residual = (s if scaled else None), (r if joined else None)
+            for relu, joined in CONV_UNIT_MODES:
+                residual = r if joined else None
                 with T.no_grad():
                     untaped = T.conv2d(
-                        *(T.Tensor(a) for a in (x, w, b)), stride,
-                        None if scale is None else T.Tensor(scale), relu,
+                        *(T.Tensor(a) for a in (x, w, b)), stride, relu,
                         None if residual is None else T.Tensor(residual),
                     )
-                # out, dx, dw, dscale, dbias, dresidual
-                taped = conv2d_grads(x, w, g, stride, b, scale, relu, residual)
+                # out, dx, dw, dbias, dresidual
+                taped = conv2d_grads(x, w, g, stride, b, relu, residual)
                 found.append((untaped.data,) + taped)
             return found
 
@@ -524,19 +508,19 @@ class TestElementwiseAndPooling:
         for dtype in (np.float32, np.float64):
             x = rng.standard_normal((2, 3, 5, 5)).astype(dtype)
             w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
-            s, b = rng.standard_normal((2, 4)).astype(dtype)
+            b = rng.standard_normal(4).astype(dtype)
             r, g = rng.standard_normal((2, 2, 4, 5, 5)).astype(dtype)
-            pre = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), scale=T.Tensor(s))
+            pre = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
             r[0, 0] = -pre.data[0, 0]  # sums exactly on the kink
 
             def run(fused):
-                xt, wt, st, bt, rt = (T.Tensor(a, requires_grad=True) for a in (x, w, s, b, r))
+                xt, wt, bt, rt = (T.Tensor(a, requires_grad=True) for a in (x, w, b, r))
                 if fused:
-                    out = T.conv2d(xt, wt, bt, scale=st, relu=True, residual=rt)
+                    out = T.conv2d(xt, wt, bt, relu=True, residual=rt)
                 else:
-                    out = T.relu(T.add(T.conv2d(xt, wt, bt, scale=st), rt))
+                    out = T.relu(T.add(T.conv2d(xt, wt, bt), rt))
                 T.total_sum(T.mul(out, T.Tensor(g))).backward()
-                return out.data, xt.grad, wt.grad, st.grad, bt.grad, rt.grad
+                return out.data, xt.grad, wt.grad, bt.grad, rt.grad
 
             fused, reference = run(True), run(False)
             assert np.all(fused[0][0, 0] == 0.0) and (fused[0] > 0.0).any()
@@ -754,7 +738,7 @@ class TestAutodiff:
         "name",
         [
             "conv2d",
-            "conv2d_affine_relu",
+            "conv2d_bias_relu",
             "conv2d_residual",
             "conv2d_1x1_bias",
             "relu",
@@ -782,24 +766,18 @@ class TestAutodiff:
             fn = lambda: T.total_sum(
                 T.sigmoid(T.conv2d(x, w, b, stride=2))
             )
-        elif name == "conv2d_affine_relu":
+        elif name == "conv2d_bias_relu":
             w = reg.register("w", rng.standard_normal((3, 2, 3, 3)) * 0.5)
-            s = reg.register("s", rng.standard_normal(3))
             b = reg.register("b", rng.standard_normal(3) * 0.5)
             x = reg.register("x", rng.standard_normal((2, 2, 5, 4)) * 0.5)
-            fn = lambda: T.total_sum(
-                T.sigmoid(T.conv2d(x, w, b, stride=2, scale=s, relu=True))
-            )
+            fn = lambda: T.total_sum(T.sigmoid(T.conv2d(x, w, b, stride=2, relu=True)))
         elif name == "conv2d_residual":
             w = reg.register("w", rng.standard_normal((3, 2, 3, 3)) * 0.5)
-            s = reg.register("s", rng.standard_normal(3))
             b = reg.register("b", rng.standard_normal(3) * 0.5)
             x = reg.register("x", rng.standard_normal((2, 2, 5, 4)) * 0.5)
             r = reg.register("r", rng.standard_normal((2, 3, 3, 2)))
             fn = lambda: T.total_sum(
-                T.sigmoid(
-                    T.conv2d(x, w, b, stride=2, scale=s, relu=True, residual=r)
-                )
+                T.sigmoid(T.conv2d(x, w, b, stride=2, relu=True, residual=r))
             )
         elif name == "conv2d_1x1_bias":
             w = reg.register("w", rng.standard_normal((2, 4, 1, 1)))
@@ -1180,7 +1158,7 @@ class TestModuleSurface:
     def test_methods_without_a_caller_are_pinned(self):
         # A public method or property of an avscene class whose name no
         # avscene or perfbench module uses as an attribute has no program
-        # caller. The five below are test helpers; anything else is dead code.
+        # caller. The four below are test helpers; anything else is dead code.
         trees = parsed_modules(REPO / "src" / "avscene")
         bench = parsed_modules(REPO / "perfbench", "**/*.py")
         used = {
@@ -1202,7 +1180,6 @@ class TestModuleSurface:
         assert uncalled == {
             "tensor.GradCheckReport.max_relative_error",
             "tensor.GradCheckReport.worst_param",
-            "tensor.ParamRegistry.names",
             "tensor.ParamRegistry.num_scalars",
             "tensor.ParamRegistry.tensors",
         }
@@ -1249,7 +1226,6 @@ class TestSettingsLedger:
         "tensor.Tensor(requires_grad)",
         "tensor.conv2d(relu)",
         "tensor.conv2d(residual)",
-        "tensor.conv2d(scale)",
         "tensor.conv2d(stride)",
         "tensor.finite_diff_check(epsilon)",
         "tensor.linear(b)",
