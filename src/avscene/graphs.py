@@ -65,6 +65,14 @@ def edge_mask(k: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_weights(k: int) -> np.ndarray:
+    """Read-only float64 [K,K] copy of ``edge_mask(k)``."""
+    weights = edge_mask(k).astype(np.float64)
+    weights.flags.writeable = False
+    return weights
+
+
 def propagation_matrix(flat_indices: np.ndarray, w: int) -> np.ndarray:
     """[K,K] (D+I)^{-1/2} (A+I) (D+I)^{-1/2} of the graph on these node positions.
 
@@ -72,14 +80,19 @@ def propagation_matrix(flat_indices: np.ndarray, w: int) -> np.ndarray:
     Manhattan distance between positions on the edges of ``edge_mask(k)``
     and 0 elsewhere, so it is symmetric with a zero diagonal; D is the
     diagonal of its row sums. A connected pair at coincident positions keeps
-    its edge with weight 0.
+    its edge with weight 0. Every entry of A + I, and every row sum, is a
+    small integer, exact in float64 in any order of addition.
     """
-    x, y = flat_indices % w, flat_indices // w
-    dist = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
-    adj = (edge_mask(len(flat_indices)) * dist).astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
-    np.fill_diagonal(adj, 1.0)  # A's diagonal is 0, so adj is now A + I
-    return inv_sqrt[:, None] * adj * inv_sqrt[None, :]
+    k = len(flat_indices)
+    y, x = np.divmod(np.asarray(flat_indices, dtype=np.float64), w)
+    adj = np.abs(y[:, None] - y)
+    adj += np.abs(x[:, None] - x)
+    adj *= _edge_weights(k)
+    adj.flat[:: k + 1] = 1.0  # A's diagonal is 0, so adj is now A + I
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))  # the row sums of A + I are D + 1
+    out = inv_sqrt[:, None] * adj
+    out *= inv_sqrt
+    return out
 
 
 def build_scene_graphs(f_ffr: Tensor, k: int):

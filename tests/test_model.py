@@ -89,6 +89,101 @@ class TestWholeModelGradient:
             assert grads and max(grads) > 0.0, prefix
 
 
+def directional_errors(model, seed, epsilon=1e-5):
+    """{parameter name: error} of one directional derivative per parameter tensor.
+
+    For each tensor, v is a random unit direction over all of it, and the
+    error is |(L(w + εv) - L(w - εv)) / 2ε - g·v| / ‖g‖ for its reverse-mode
+    gradient g, or the slope itself where g is 0 (a GCN theta behind a ReLU
+    that is off at every node): two no-grad forwards per tensor, whatever
+    its size. L is the loss of ``test_finite_difference_through_every_layer``'s
+    batch.
+    """
+    x = T.Tensor(np.random.default_rng(seed + 7).standard_normal((2, 1, 32, 32)))
+
+    def loss_fn():
+        return T.softmax_cross_entropy(model.forward(x), [0, 2])
+
+    model.registry.zero_grad()
+    loss_fn().backward()
+    rng = np.random.default_rng(seed + 11)
+    errors = {}
+    with T.no_grad():
+        for name, p in model.registry.items():
+            v = rng.standard_normal(p.data.shape)
+            v /= np.linalg.norm(v)
+            base = p.data.copy()
+            p.data[...] = base + epsilon * v
+            up = loss_fn().item()
+            p.data[...] = base - epsilon * v
+            down = loss_fn().item()
+            p.data[...] = base
+            slope = (up - down) / (2.0 * epsilon)
+            norm = np.linalg.norm(p.grad)
+            errors[name] = abs(slope - np.sum(p.grad * v)) / norm if norm else abs(slope)
+    return errors
+
+
+def in_backward(monkeypatch, name, mutate):
+    """Replace ``tensor.<name>`` by ``mutate`` of its result, inside ``backward()`` only."""
+    original, backward = getattr(T, name), T.Tensor.backward
+    active = [False]
+
+    def flagged(self):
+        active[0] = True
+        try:
+            backward(self)
+        finally:
+            active[0] = False
+
+    def patched(*args):
+        out = original(*args)
+        return mutate(out) if active[0] else out
+
+    monkeypatch.setattr(T.Tensor, "backward", flagged)
+    monkeypatch.setattr(T, name, patched)
+
+
+def corner_cell_off(dx):
+    """One corner cell of an input gradient 1 % low."""
+    dx = dx.copy()
+    dx[0, 0, 0, 0] *= 0.99
+    return dx
+
+
+def last_item_one_cell_late(cols):
+    """The last item's columns read one cell later than they should."""
+    late = cols.copy()
+    late[-1, :, :-1] = cols[-1, :, 1:]
+    return late
+
+
+class TestDirectionalGradient:
+    # Measured on seeds 0-11: correct code reads at most 8.2e-9 (seed 2,
+    # afm.gate.bias). Rebuilding the columns wrongly in the backward reads
+    # at least 1.2e-4 with one corner cell of _col2im's input gradient 1 %
+    # low (seed 2) and 1.1e-2 with the last item's columns one cell late
+    # (seed 6). The bound sits 120x above the first and 117x below the
+    # smallest mutation.
+    BOUND = 1e-6
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_tensor_of_the_micro_model(self, seed):
+        errors = directional_errors(micro_model(seed), seed)
+        assert len(errors) == len(micro_model(seed).registry.names())
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= self.BOUND, (worst, errors[worst])
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "name, mutate", [("_col2im", corner_cell_off), ("_im2col", last_item_one_cell_late)]
+    )
+    def test_a_wrong_column_rebuild_fails_it(self, monkeypatch, seed, name, mutate):
+        in_backward(monkeypatch, name, mutate)
+        errors = directional_errors(micro_model(seed), seed)
+        assert max(errors.values()) > self.BOUND
+
+
 def per_sample_features(model, x):
     """``SceneModel.features`` with one ``gcn_layer`` per sample and graph."""
     pyramid = model.backbone.forward(T.cast(x, model.registry.dtype))

@@ -388,7 +388,7 @@ class TestConv2dChunks:
         b = rng.standard_normal(4).astype(np.float32)
         layout = T._tap_layout(9, 8, k, stride)
         g, r = rng.standard_normal((2, 5, 4, layout.ho, layout.wo)).astype(np.float32)
-        item = 3 * k * k * layout.ho * layout.wq * x.itemsize  # one item's columns
+        item = 3 * k * k * layout.pitch * x.itemsize  # one item's columns and gap
         assert 5 * item <= T._COLUMN_BYTES  # the default budget takes the batch whole
 
         def runs():
@@ -419,6 +419,121 @@ class TestConv2dChunks:
                 for got, ref in zip(got_mode, want_mode):
                     assert (got is None) == (ref is None)
                     assert got is None or np.array_equal(got, ref)
+
+
+def contiguous_conv2d_grads(x, w, g, stride, bias, relu=False, residual=None):
+    """(out, dx, dw, dbias, dresidual) of conv2d's arithmetic on contiguous columns.
+
+    Each item's columns are one C-contiguous [C·k·k, ho·wq] matrix, sliced
+    tap by tap from a zero-padded copy of x that is wide enough for the
+    extra columns; a tap's column gradient adds into that padded copy, in
+    tap order. The matrix products and the sums per output or input cell
+    are conv2d's own, so its tap planes must give the same bits.
+    """
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    s, p = stride, k // 2
+    ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
+    wq = wo + (k - 1) // s
+    xp = np.zeros((n, c, s * ho + k, s * wq + k), x.dtype)
+    xp[:, :, p : p + h, p : p + wd] = x
+    cols = np.empty((n, c, k, k, ho, wq), x.dtype)
+    for i, j in itertools.product(range(k), repeat=2):
+        cols[:, :, i, j] = xp[:, :, i : i + s * ho : s, j : j + s * wq : s]
+    cols = cols.reshape(n, c * k * k, ho * wq)
+    w2 = w.reshape(o, -1)
+    y = np.ascontiguousarray(np.matmul(w2, cols).reshape(n, o, ho, wq)[..., :wo])
+    y += bias.reshape(1, o, 1, 1)
+    if residual is not None:
+        y += residual
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    g2 = g * (y > 0.0) if relu else g
+    gq = np.zeros((n, o, ho, wq), g.dtype)
+    gq[..., :wo] = g2
+    gq = gq.reshape(n, o, ho * wq)
+    dw = np.matmul(gq, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w2.T, gq).reshape(n, c, k, k, ho, wq)
+    dxp = np.zeros_like(xp)
+    for i, j in itertools.product(range(k), repeat=2):
+        dxp[:, :, i : i + s * ho : s, j : j + s * wq : s] += dcols[:, :, i, j]
+    dx = dxp[:, :, p : p + h, p : p + wd]
+    return y, dx, dw, g2.sum(axis=(0, 2, 3)), None if residual is None else g2
+
+
+@st.composite
+def tap_geometries(draw):
+    """(n, c, h, w, k, stride): a batch of up to 3 items, sizes from 1."""
+    k, stride = draw(st.sampled_from(CONV_KERNELS[1:])), draw(st.integers(1, 2))
+    h, w = draw(st.integers(1, 2 * k + 3)), draw(st.integers(1, 2 * k + 3))
+    return draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w, k, stride
+
+
+class TestConv2dTapLayout:
+    """The [phase, C, N] tap planes against contiguous columns, and what the planes keep apart."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2), (7, 1), (7, 2)])
+    def test_matches_contiguous_columns_bit_for_bit(self, k, stride, n, dtype):
+        # Two or more output channels: with one, each item's product is a
+        # matrix-vector BLAS call, whose rounding can depend on the row
+        # stride of the columns (seen at spans of up to 8 cells, batch 2 or
+        # more); the loop references above cover it within round-off.
+        rng = np.random.default_rng(k * 100 + stride * 10 + n)
+        for h, wd in ((9, 8), (7, 5), (6, 11)):  # even, odd and mixed sizes
+            x = rng.standard_normal((n, 3, h, wd)).astype(dtype)
+            w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+            b = rng.standard_normal(4).astype(dtype)
+            ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+            g, r = rng.standard_normal((2, n, 4, ho, wo)).astype(dtype)
+            for relu, joined in CONV_UNIT_MODES:
+                residual = r if joined else None
+                got = conv2d_grads(x, w, g, stride, b, relu, residual)
+                want = contiguous_conv2d_grads(x, w, g, stride, b, relu, residual)
+                # out, dx, dw, dbias, dresidual
+                for gv, wv in zip(got, want):
+                    assert (gv is None) == (wv is None)
+                    assert gv is None or (gv.dtype == wv.dtype and np.array_equal(gv, wv))
+                with T.no_grad():
+                    untaped = T.conv2d(
+                        *(T.Tensor(a) for a in (x, w, b)), stride, relu,
+                        None if residual is None else T.Tensor(residual),
+                    )
+                assert np.array_equal(untaped.data, want[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry=tap_geometries())
+    def test_planes_keep_each_item_apart(self, geometry):
+        n, c, h, wd, k, stride = geometry
+        t = T._tap_layout(h, wd, k, stride)
+        biggest = max(offset for _, offset in t.taps)
+        assert t.taps[-1][1] == biggest  # _col2im's buffer tail relies on it
+        assert t.pitch >= t.hq * t.wq + (k - 1) // stride  # a tap's span stays in its plane
+        # Plane j of a phase is channel j // n of item j % n; its cells of x are j + 1.
+        x = (np.arange(c)[None, :] * n + np.arange(n)[:, None] + 1.0)[:, :, None, None]
+        x = np.ascontiguousarray(np.broadcast_to(x, (n, c, h, wd)))
+        for run in T._phase_planes(x, t).reshape(stride**2, -1):
+            cells = np.flatnonzero(run)
+            if cells.size == 0:
+                continue  # a phase that holds no cell of x
+            plane = run[cells] - 1.0
+            assert np.array_equal(cells // t.pitch, plane)  # each plane within its pitch
+            # Between the cells of two planes lie at least `biggest` zeros.
+            change = np.flatnonzero(np.diff(plane)) + 1
+            assert np.all(cells[change] - cells[change - 1] - 1 >= biggest)
+            # Each plane's span of each tap reads its own cells or zeros.
+            for _, start in t.taps:
+                for j in range(c * n):
+                    window = run[j * t.pitch + start : j * t.pitch + start + t.span]
+                    assert np.all((window == 0.0) | (window == j + 1.0))
+        assert np.count_nonzero(T._phase_planes(x, t)) == x.size
+        # So an item's columns, extra ones included, do not depend on the batch.
+        xr = np.random.default_rng(n * c * h).standard_normal((n, c, h, wd))
+        cols = T._im2col(xr, t)
+        assert cols.shape == (n, c * k * k, t.span)
+        for i in range(n):
+            assert np.array_equal(cols[i], T._im2col(xr[i : i + 1], t)[0])
 
 
 class TestBatchedMatrixApply:
@@ -1003,6 +1118,47 @@ class TestAccumulate:
         assert w.grad.dtype == np.float32
         assert np.array_equal(w.grad, np.tile([3.0, 5.0, 7.0], (2, 1)))
 
+    @pytest.mark.parametrize(
+        "op",
+        ["relu", "sigmoid", "mul", "slice_batch", "bilinear_upsample", "gather_pixels", "softmax"],
+    )
+    def test_single_consumer_leaf_gets_the_closures_own_array(self, monkeypatch, op):
+        # Each of these closures builds its gradient afresh, so it hands the
+        # array over instead of having it copied.
+        handed = []
+        accumulate = T._accumulate
+        monkeypatch.setattr(
+            T, "_accumulate", lambda t, g, fresh=False: handed.append((t, g)) or accumulate(t, g, fresh)
+        )
+        rng = np.random.default_rng(61)
+        shape = (3, 4) if op == "softmax" else (2, 3, 4, 4)
+        x = T.Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = {
+            "relu": lambda: T.relu(x),
+            "sigmoid": lambda: T.sigmoid(x),
+            "mul": lambda: T.mul(x, T.Tensor(rng.standard_normal(shape))),
+            "slice_batch": lambda: T.slice_batch(x, 1),
+            "bilinear_upsample": lambda: T.bilinear_upsample(x, 6, 5),
+            "gather_pixels": lambda: T.gather_pixels(x, [0, 5, 15]),
+            "softmax": lambda: T.softmax_cross_entropy(x, [0, 3, 1]),
+        }[op]()
+        (out if op == "softmax" else T.total_sum(out)).backward()
+        (g,) = [g for t, g in handed if t is x]
+        assert x.grad is g
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_element_of_any_rank(self, shape, dtype):
+        value = T.Tensor(np.full(shape, 0.1, dtype=dtype)).item()
+        assert type(value) is float and value == float(dtype(0.1))
+
+    @pytest.mark.parametrize("shape", [(2,), (0,), (1, 3), (2, 1, 1)])
+    def test_other_sizes_name_the_shape(self, shape):
+        with pytest.raises(ConfigurationError, match=re.escape(f"got shape {shape}")):
+            T.Tensor(np.zeros(shape)).item()
+
 
 class TestParamRegistry:
     def test_insertion_order_and_uniqueness(self):
@@ -1075,8 +1231,9 @@ class TestDtypes:
         assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
         # _accumulate would cast a float64 input gradient back; check col2im itself.
         taps = T._tap_layout(6, 5, k, 2)
-        dcols = np.ones((2, 3 * k * k, taps.ho * taps.wq), dtype=np.float32)
-        assert T._col2im(dcols, (2, 3, 6, 5), taps).dtype == np.float32
+        w2 = np.ones((4, 3 * k * k), dtype=np.float32)
+        gq = np.ones((2, 4, taps.span), dtype=np.float32)
+        assert T._col2im(w2, gq, (2, 3, 6, 5), taps).dtype == np.float32
 
 
 REPO = Path(__file__).resolve().parents[1]
