@@ -250,15 +250,23 @@ class SGD:
     from ``np.zeros``, which for a large parameter maps pages the OS zeroes
     when first touched, rather than from a pass that writes every element.
 
-    ``step`` first checks every gradient, so a non-finite one aborts the step
-    before any parameter or velocity changes. The check is one dot product
-    g·g per parameter; only when that is not finite, which a finite float32
-    gradient whose squares overflow can also cause, are the elements checked
-    one by one. The update then runs over blocks of ``_SGD_BLOCK`` elements
-    of each flattened parameter, with lr·v in one preallocated scratch block,
-    so the passes over a block stay in cache. Each element sees the same
-    operations in the same order as in whole-array passes, so the result is
-    the same bit for bit.
+    ``step`` first checks the lr and every gradient, so a bad lr or a
+    gradient that is not finite or not of its parameter's shape aborts the
+    step before any parameter, velocity or gradient changes: every ``grad``
+    is still the same array with the same values. The finiteness check is
+    one dot product g·g per parameter; only when that is not finite, which a
+    finite float32 gradient whose squares overflow can also cause, are the
+    elements checked one by one. A missing gradient counts as zero. The
+    update then runs over blocks of ``_SGD_BLOCK`` elements of each
+    flattened parameter, with lr·v in one preallocated scratch block, so the
+    passes over a block stay in cache. Each element sees the same operations
+    in the same order as in whole-array passes, so the result is the same
+    bit for bit.
+
+    A step uses up the gradients it applies, as ``backward()`` uses up the
+    tape: each parameter's ``grad`` is set to None once its update is done.
+    So the next forward runs without them, and the next backward starts
+    from none without a ``zero_grad``.
     """
 
     def __init__(self, registry: ParamRegistry, momentum: float):
@@ -274,18 +282,24 @@ class SGD:
         with np.errstate(over="ignore", invalid="ignore"):
             for name, p in self.registry.items():
                 g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                if g.shape != p.data.shape:
+                    raise ConfigurationError(
+                        f"gradient for {name} has shape {g.shape}, its parameter "
+                        f"{p.data.shape}; step aborted"
+                    )
                 flat = g.reshape(-1)
                 if not np.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(flat)):
                     raise NumericError(f"non-finite gradient for {name}; step aborted")
                 grads[name] = flat
         for name, p in self.registry.items():
-            v, g, w = self.velocity[name].reshape(-1), grads[name], p.data.reshape(-1)
+            v, g, w = self.velocity[name].reshape(-1), grads.pop(name), p.data.reshape(-1)
             for lo in range(0, w.size, _SGD_BLOCK):
                 block = slice(lo, lo + _SGD_BLOCK)
                 vb = v[block]
                 vb *= self.momentum
                 vb += g[block]
                 w[block] -= np.multiply(lr, vb, out=self._scratch[: vb.size])
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +589,6 @@ def train(config: ModelConfig, dataset: Dataset, progress=None):
             batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
             x = Tensor(np.stack([e.x for e in batch]))
             labels = np.array([e.label for e in batch])
-            # Zeroed before the forward: the last step's gradients would
-            # otherwise sit in memory next to the new tape.
-            model.registry.zero_grad()
             logits = model.forward(x)
             loss = softmax_cross_entropy(logits, labels)
             value = loss.item()

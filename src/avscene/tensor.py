@@ -31,7 +31,10 @@ forward pass and replaying it in reverse topological order. The replay
 consumes the tape: each interior node's gradient, closure and parent links
 are released as soon as its closure has run, so only leaves (parameters and
 inputs created with ``requires_grad``) keep ``grad``, and a second
-``backward()`` through a consumed node raises ``ConfigurationError``.
+``backward()`` through a consumed node raises ``ConfigurationError``. A
+leaf's ``grad`` accumulates over backward passes until it is dropped: an
+optimizer step (``model.SGD.step``) uses up the gradients it applies, and
+``ParamRegistry.zero_grad`` drops them for a backward that no step follows.
 
 A tensor holds float32 or float64; any other input becomes float64. Every op
 computes in its operands' dtype, and a gradient takes the dtype of the tensor
@@ -575,9 +578,11 @@ def conv2d(
     [N, O, ceil(H / s), ceil(W / s)]. The matrix products run on the
     columns of ``_im2col``, extra columns included (``_TapLayout``), one
     chunk of whole items at a time: as many items as have columns within
-    ``_COLUMN_BYTES``, and at least one. Each item is its own
-    product, on a strided view of the columns, so the output does not
-    depend on how the batch is chunked.
+    ``_COLUMN_BYTES``, and at least one. Each item is its own product, on
+    a strided view of the columns, so with two or more output channels the
+    output does not depend on how the batch is chunked. With one, numpy
+    runs each product as a BLAS matrix-vector call, whose rounding follows
+    the row stride of the tap rows, and so the number of items in a chunk.
 
     The bias, the residual sum and the ReLU run in place, in that order, on
     the matrix product's fresh output, so the tape keeps only that output:
@@ -636,7 +641,9 @@ def conv2d(
         if relu:
             g2 = g2 * (y > 0.0)  # subgradient at exactly 0 is 0
         if residual is not None and residual.requires_grad:
-            _accumulate(residual, g2.reshape(n, o, ho, wo))
+            # g2 is the masked array made here, or a view of this node's own
+            # gradient, which it drops after this closure.
+            _accumulate(residual, g2.reshape(n, o, ho, wo), fresh=True)
         if wq > wo:  # the extra columns get a zero gradient
             gq = np.zeros((n, o, ho, wq), dtype=g2.dtype)
             gq[..., :wo] = g2.reshape(n, o, ho, wo)
@@ -831,6 +838,11 @@ class ParamRegistry:
         return self._entries.values()
 
     def zero_grad(self) -> None:
+        """Drop every gradient, for a backward that no optimizer step will follow.
+
+        ``SGD.step`` drops the gradients it applies, so a training loop needs
+        no ``zero_grad``; a gradient check that runs a backward on its own does.
+        """
         for t in self._entries.values():
             t.grad = None
 

@@ -7,10 +7,14 @@ import json
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from avscene import backbone as B
+from avscene import fusion as F
+from avscene import gcn as G
 from avscene import model as M
 from avscene import tensor as T
 from avscene.backbone import Backbone, BackboneConfig
@@ -35,18 +39,32 @@ from avscene.model import (
 
 
 def micro_model(seed):
-    config = ModelConfig(
-        backbone=BackboneConfig(1, [2, 4, 4, 4, 8], [1, 1, 1, 1], "basic"),
-        num_classes=3,
-        k_nodes=4,
-        gcn_out_channels=2,
-        seed=seed,
+    return randomized_model(
+        ModelConfig(
+            backbone=BackboneConfig(1, [2, 4, 4, 4, 8], [1, 1, 1, 1], "basic"),
+            num_classes=3,
+            k_nodes=4,
+            gcn_out_channels=2,
+            seed=seed,
+        )
     )
-    # float64: the 1e-6 bound below is far under float32 round-off.
+
+
+def tiny_model(seed):
+    # Unit-normal head weights over tiny's 160 features put logits at up to
+    # ±40 (seeds 0-3), where the softmax saturates: an item whose label is
+    # near-certain passes back no gradient, and the check sees one item of
+    # two. Scaled by 1/sqrt(160), they stay near unit size.
+    return randomized_model(ModelConfig.tiny(seed=seed), head_scale=160**-0.5)
+
+
+def randomized_model(config, head_scale=1.0):
+    """The model of ``config`` in float64, with a random head and random shifts."""
+    # float64: the 1e-6 bounds below are far under float32 round-off.
     model = SceneModel(config, T.ParamRegistry(np.float64))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(config.seed + 1)
     # The built head is zero, which makes every gradient below it zero.
-    model.head_weight.data[...] = rng.standard_normal(model.head_weight.shape)
+    model.head_weight.data[...] = head_scale * rng.standard_normal(model.head_weight.shape)
     model.head_bias.data[...] = rng.standard_normal(model.head_bias.shape)
     # Built shifts are zero, so a conv window that sees only ReLU zeros puts
     # its pre-activation exactly on ReLU's kink, where a central difference
@@ -89,17 +107,17 @@ class TestWholeModelGradient:
             assert grads and max(grads) > 0.0, prefix
 
 
-def directional_errors(model, seed, epsilon=1e-5):
+def directional_errors(model, seed, shape=(2, 1, 32, 32), epsilon=1e-5):
     """{parameter name: error} of one directional derivative per parameter tensor.
 
     For each tensor, v is a random unit direction over all of it, and the
     error is |(L(w + εv) - L(w - εv)) / 2ε - g·v| / ‖g‖ for its reverse-mode
     gradient g, or the slope itself where g is 0 (a GCN theta behind a ReLU
     that is off at every node): two no-grad forwards per tensor, whatever
-    its size. L is the loss of ``test_finite_difference_through_every_layer``'s
-    batch.
+    its size. L is the loss of a random batch of ``shape``, by default
+    ``test_finite_difference_through_every_layer``'s.
     """
-    x = T.Tensor(np.random.default_rng(seed + 7).standard_normal((2, 1, 32, 32)))
+    x = T.Tensor(np.random.default_rng(seed + 7).standard_normal(shape))
 
     def loss_fn():
         return T.softmax_cross_entropy(model.forward(x), [0, 2])
@@ -144,6 +162,21 @@ def in_backward(monkeypatch, name, mutate):
     monkeypatch.setattr(T, name, patched)
 
 
+def scaled_backward(monkeypatch, modules, name, factor):
+    """Make op ``name``, as ``modules`` call it, hand its input ``factor(x)`` times its gradient."""
+    original = getattr(T, name)
+
+    def patched(x, *args):
+        out = original(x, *args)
+        if out._backward is not None:
+            backward, scale = out._backward, factor(x)
+            out._backward = lambda g: backward(g * scale)
+        return out
+
+    for module in modules:
+        monkeypatch.setattr(module, name, patched)
+
+
 def corner_cell_off(dx):
     """One corner cell of an input gradient 1 % low."""
     dx = dx.copy()
@@ -158,29 +191,80 @@ def last_item_one_cell_late(cols):
     return late
 
 
+def pool_over_one_cell_more(x):
+    """The factor that makes ``global_avg_pool``'s backward divide by h·w + 1."""
+    h, w = x.data.shape[2:]
+    return h * w / (h * w + 1)
+
+
+# Each makes one op's backward wrong.
+COLUMN_MUTATIONS = [("_col2im", corner_cell_off), ("_im2col", last_item_one_cell_late)]
+BACKWARD_MUTATIONS = {
+    **{f"{name}-{mutate.__name__}": (
+        lambda mp, name=name, mutate=mutate: in_backward(mp, name, mutate)
+    ) for name, mutate in COLUMN_MUTATIONS},
+    "sigmoid_x1.001": lambda mp: scaled_backward(mp, [F], "sigmoid", lambda x: 1.001),
+    "bilinear_upsample_x1.001": lambda mp: scaled_backward(
+        mp, [F], "bilinear_upsample", lambda x: 1.001
+    ),
+    "gcn_relu_x1.0001": lambda mp: scaled_backward(mp, [G], "relu", lambda x: 1.0001),
+    "global_avg_pool_over_hw_plus_1": lambda mp: scaled_backward(
+        mp, [B, F], "global_avg_pool", pool_over_one_cell_more
+    ),
+}
+# Tiny at an input whose 8x4 stage-4 map holds k = 8 nodes three times over and more.
+TINY_INPUT = (2, 1, 64, 32)
+
+
 class TestDirectionalGradient:
-    # Measured on seeds 0-11: correct code reads at most 8.2e-9 (seed 2,
-    # afm.gate.bias). Rebuilding the columns wrongly in the backward reads
-    # at least 1.2e-4 with one corner cell of _col2im's input gradient 1 %
-    # low (seed 2) and 1.1e-2 with the last item's columns one cell late
-    # (seed 6). The bound sits 120x above the first and 117x below the
-    # smallest mutation.
+    # Measured: correct code reads at most 8.2e-9 on micro seeds 0-11 (seed
+    # 2, afm.gate.bias) and 7.0e-10 on tiny seeds 0-3. The smallest reading
+    # of a mutation is 4.6e-5 (the GCN relu's x1.0001, tiny seed 1); the
+    # others read at least 6.5e-5 (sigmoid x1.001), 1.2e-4 (the _col2im
+    # corner cell), 1.6e-4 (bilinear_upsample x1.001), 1.1e-2 (the late
+    # _im2col columns) and 5.7e-2 (pooling over h·w + 1). The bound sits
+    # 120x above correct code and 46x below the smallest mutation. The tiny
+    # seeds and the four later mutations add 76 cases, ~5 s of Tier-1.
     BOUND = 1e-6
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_every_tensor_of_the_micro_model(self, seed):
-        errors = directional_errors(micro_model(seed), seed)
-        assert len(errors) == len(micro_model(seed).registry.names())
+    def assert_within(self, model, seed, shape=(2, 1, 32, 32)):
+        errors = directional_errors(model, seed, shape)
+        assert len(errors) == len(model.registry.names())
         worst = max(errors, key=errors.get)
         assert errors[worst] <= self.BOUND, (worst, errors[worst])
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize(
-        "name, mutate", [("_col2im", corner_cell_off), ("_im2col", last_item_one_cell_late)]
-    )
+    def test_every_tensor_of_the_micro_model(self, seed):
+        self.assert_within(micro_model(seed), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_tensor_of_the_tiny_model(self, seed):
+        self.assert_within(tiny_model(seed), seed, TINY_INPUT)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("name, mutate", COLUMN_MUTATIONS)
     def test_a_wrong_column_rebuild_fails_it(self, monkeypatch, seed, name, mutate):
         in_backward(monkeypatch, name, mutate)
         errors = directional_errors(micro_model(seed), seed)
+        assert max(errors.values()) > self.BOUND
+
+    @pytest.mark.parametrize(
+        "mutation, make, seed, shape",
+        [
+            pytest.param(mutation, micro_model, seed, (2, 1, 32, 32), id=f"{mutation}-micro-{seed}")
+            for mutation in list(BACKWARD_MUTATIONS)[len(COLUMN_MUTATIONS) :]
+            for seed in range(12)
+        ]
+        + [
+            pytest.param(mutation, tiny_model, seed, TINY_INPUT, id=f"{mutation}-tiny-{seed}")
+            for mutation in BACKWARD_MUTATIONS
+            for seed in range(4)
+        ],
+    )
+    def test_a_wrong_backward_fails_it(self, monkeypatch, mutation, make, seed, shape):
+        # The micro column rebuilds are test_a_wrong_column_rebuild_fails_it's.
+        BACKWARD_MUTATIONS[mutation](monkeypatch)
+        errors = directional_errors(make(seed), seed, shape)
         assert max(errors.values()) > self.BOUND
 
 
@@ -278,11 +362,13 @@ class TestFloat32Policy:
         loss = T.softmax_cross_entropy(logits, [0, 3])
         assert loss.data.dtype == np.float64
         loss.backward()
+        for name, p in model.registry.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
         optimizer.step(0.01)
         for name, p in model.registry.items():
             assert p.data.dtype == np.float32, name
             assert optimizer.velocity[name].dtype == np.float32, name
-            assert p.grad is not None and p.grad.dtype == np.float32, name
+            assert p.grad is None, name
 
     def test_resize_matrix_is_cached_per_dtype(self):
         r32 = T._resize_matrix(5, 9, np.dtype(np.float32))
@@ -610,9 +696,11 @@ class TestModelConfig:
         before = {name: p.data.copy() for name, p in model.registry.items()}
         x = T.Tensor(rng.standard_normal((2, 1, 64, 32)))
         T.softmax_cross_entropy(model.forward(x), [0, 2]).backward()
-        SGD(model.registry, momentum=0.9).step(0.01)
         for name, p in model.registry.items():
             assert p.grad is not None and np.any(p.grad != 0.0), name
+        SGD(model.registry, momentum=0.9).step(0.01)
+        for name, p in model.registry.items():
+            assert p.grad is None, name
             assert not np.array_equal(p.data, before[name]), name
 
     @pytest.mark.parametrize(
@@ -802,6 +890,8 @@ class TestSGD:
             name: (p.data.copy(), optimizer.velocity[name].copy())
             for name, p in reg.items()
         }
+        for p in reg.tensors():  # the step used up the first gradients
+            p.grad = np.ones_like(p.data)
         reg["last"].grad[3, 2] = np.nan
         with pytest.raises(NumericError, match="gradient for last;"):
             optimizer.step(0.1)
@@ -882,6 +972,61 @@ class TestSGD:
         for name, p in reg.items():
             assert np.array_equal(p.data, before[name][0]), name
             assert np.array_equal(optimizer.velocity[name], before[name][1]), name
+
+    def test_step_uses_up_every_gradient(self):
+        reg = T.ParamRegistry(np.float32)
+        reg.register("a", np.ones(3, dtype=np.float32))
+        reg.register("w", np.ones(4 * 1024 * 1024, dtype=np.float32))
+        grad = np.ones_like(reg["w"].data)
+        reg["w"].grad, reg["a"].grad = grad, np.ones(3, dtype=np.float32)
+        freed = weakref.ref(grad)
+        del grad
+        SGD(reg, momentum=0.9).step(0.1)
+        assert all(p.grad is None for p in reg.tensors())
+        assert freed() is None  # no 16 MiB copy of the gradient outlives the step
+        assert np.all(reg["w"].data == np.float32(1.0) - np.float32(0.1))
+
+    @pytest.mark.parametrize(
+        "b_grad, lr, error, message",
+        [
+            pytest.param(
+                [[np.nan], [1.0]], 0.1, NumericError, "non-finite gradient for b; step aborted", id="nan"
+            ),
+            pytest.param(
+                [[2.0], [3.0]], 0.0, ConfigurationError, "lr must be finite and positive, got 0.0", id="zero_lr"
+            ),
+            pytest.param(
+                [[2.0], [3.0]], np.inf, ConfigurationError, "lr must be finite and positive, got inf", id="inf_lr"
+            ),
+            # Without the shape check, a is stepped before b's update fails to
+            # broadcast; and a transposed gradient is applied silently.
+            pytest.param(
+                [2.0, 3.0, 4.0], 0.1, ConfigurationError, r"b has shape \(3,\), its parameter \(2, 1\);", id="size"
+            ),
+            pytest.param(
+                [[2.0, 3.0]], 0.1, ConfigurationError, r"b has shape \(1, 2\), its parameter \(2, 1\);", id="transposed"
+            ),
+        ],
+    )
+    def test_aborted_step_keeps_every_gradient(self, b_grad, lr, error, message):
+        reg = self.registry()
+        optimizer = SGD(reg, momentum=0.9)
+        reg["a"].grad = np.array([1.0, -1.0])
+        reg["b"].grad = np.array(b_grad)
+        grads = {name: p.grad for name, p in reg.items()}
+        values = {name: g.copy() for name, g in grads.items()}
+        with pytest.raises(error, match=message):
+            optimizer.step(lr)
+        for name, p in reg.items():
+            assert p.grad is grads[name], name
+            assert np.array_equal(p.grad, values[name], equal_nan=True), name
+            assert not optimizer.velocity[name].any(), name
+        assert np.array_equal(reg["a"].data, [1.0, -2.0])
+        assert np.array_equal(reg["b"].data, [[0.5], [3.0]])
+
+    def test_trained_model_holds_no_gradient(self):
+        model, _ = train(ModelConfig.tiny(seed=6, epochs=1), synth_splits("audio", 4, 12, 0, seed=6))
+        assert all(p.grad is None for p in model.registry.tensors())
 
 
 class TestLrSchedule:

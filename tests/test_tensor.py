@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avscene import tensor as T
+from avscene.backbone import ResidualBlock
 from avscene.errors import ConfigurationError, DataError
 
 
@@ -1145,6 +1146,81 @@ class TestAccumulate:
         (out if op == "softmax" else T.total_sum(out)).backward()
         (g,) = [g for t, g in handed if t is x]
         assert x.grad is g
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    def test_conv2d_residual_gets_the_closures_own_array(self, monkeypatch, relu):
+        # The masked gradient, or a view of the node's own gradient, which
+        # the node drops after its closure.
+        handed = []
+        accumulate = T._accumulate
+        monkeypatch.setattr(
+            T, "_accumulate", lambda t, g, fresh=False: handed.append((t, g)) or accumulate(t, g, fresh)
+        )
+        rng = np.random.default_rng(67)
+        x, w, b = (T.Tensor(rng.standard_normal(s)) for s in [(2, 3, 5, 4), (4, 3, 3, 3), 4])
+        r = T.Tensor(rng.standard_normal((2, 4, 5, 4)), requires_grad=True)
+        T.total_sum(T.conv2d(x, w, b, relu=relu, residual=r)).backward()
+        (g,) = [g for t, g in handed if t is r]
+        assert r.grad is g
+
+    @staticmethod
+    def copied_and_handed_grads(monkeypatch, run):
+        """Leaf gradients of ``run()`` with every first gradient copied, then with handoffs.
+
+        Copying every first gradient is the reference: no array is then held
+        by two tensors, so an adopted gradient that a later ``+=`` changes
+        while something still reads it would show as a changed bit.
+        """
+        accumulate = T._accumulate
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "_accumulate", lambda t, g, fresh=False: accumulate(t, g))
+            copied = run()
+        return copied, run()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv2d_onto_its_own_input_is_bit_for_bit(self, monkeypatch, dtype, k):
+        # The residual is x, so the array x adopts then takes x's own += of
+        # the input gradient.
+        rng = np.random.default_rng(71 + k)
+        draw = lambda *shape: rng.standard_normal(shape).astype(dtype)
+        x_data, w_data, b_data, g = draw(2, 4, 6, 5), draw(4, 4, k, k), draw(4), draw(2, 4, 6, 5)
+
+        def run():
+            x, w, b = (T.Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+            out = T.conv2d(x, w, b, relu=True, residual=x)
+            T.total_sum(T.mul(out, T.Tensor(g))).backward()
+            return [x.grad, w.grad, b.grad]
+
+        copied, handed = self.copied_and_handed_grads(monkeypatch, run)
+        for want, got in zip(copied, handed):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_type, width", [("basic", 4), ("bottleneck", 8)])
+    def test_identity_shortcut_block_is_bit_for_bit(self, monkeypatch, dtype, block_type, width):
+        # The shortcut x also feeds the block's first conv, whose input
+        # gradient adds into the array x adopted from the join.
+        rng = np.random.default_rng(73)
+        x_data = rng.standard_normal((2, width, 6, 5)).astype(dtype)
+        g = rng.standard_normal((2, width, 6, 5)).astype(dtype)
+
+        def run():
+            registry = T.ParamRegistry(dtype)
+            block = ResidualBlock(registry, np.random.default_rng(74), "b", width, width, 1, block_type)
+            assert block.proj is None
+            bias_rng = np.random.default_rng(75)
+            for name, p in registry.items():  # non-zero biases, so each ReLU mask is mixed
+                if name.endswith(".shift"):
+                    p.data[...] = bias_rng.standard_normal(p.data.shape)
+            x = T.Tensor(x_data, requires_grad=True)
+            T.total_sum(T.mul(block.forward(x), T.Tensor(g))).backward()
+            return [x.grad] + [p.grad for p in registry.tensors()]
+
+        copied, handed = self.copied_and_handed_grads(monkeypatch, run)
+        assert len(copied) == len(handed) > 1
+        for want, got in zip(copied, handed):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
 
 class TestItem:
